@@ -39,7 +39,7 @@ import (
 // ---------------------------------------------------------------------------
 // Paper artifacts: one benchmark per table and figure.
 
-func paperPQP(b *testing.B) (*paperdata.Federation, *pqp.PQP) {
+func paperPQP(b testing.TB) (*paperdata.Federation, *pqp.PQP) {
 	b.Helper()
 	fed := paperdata.New()
 	return fed, pqp.New(fed.Schema, fed.Registry, identity.CaseFold{}, fed.LQPs())

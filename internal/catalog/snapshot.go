@@ -172,10 +172,14 @@ func decodeSnapshot(r io.Reader) (*Database, error) {
 		if _, err := db.Create(rs.Name, rel.NewSchema(rs.Attrs...), rs.Key...); err != nil {
 			return nil, err
 		}
-		for _, tup := range rs.Tuples {
-			if err := db.Insert(rs.Name, rel.Tuple(tup)); err != nil {
-				return nil, err
-			}
+		// One Insert per relation: each call rebuilds the key set, so a
+		// per-row Insert would make loading quadratic in the row count.
+		tuples := make([]rel.Tuple, len(rs.Tuples))
+		for i, tup := range rs.Tuples {
+			tuples[i] = tup
+		}
+		if err := db.Insert(rs.Name, tuples...); err != nil {
+			return nil, err
 		}
 	}
 	return db, nil

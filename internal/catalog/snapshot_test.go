@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/rel"
 	"repro/internal/segment"
@@ -87,6 +88,67 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 	if _, err := OpenFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestSnapshotLoadLinear: reading a 20 000-row keyed relation inserts all
+// its rows at once, so it takes well under a second rather than the
+// minutes a per-row Insert (one key-set rebuild per row) would take.
+func TestSnapshotLoadLinear(t *testing.T) {
+	const rows = 20000
+	db := NewDatabase("BIG")
+	db.MustCreate("FACT", rel.SchemaOf("K", "V"), "K")
+	tuples := make([]rel.Tuple, rows)
+	for i := range tuples {
+		tuples[i] = rel.Tuple{rel.Int(int64(i)), rel.String("v")}
+	}
+	if err := db.Insert("FACT", tuples...); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := db.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	back, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("reading a %d-row snapshot took %v", rows, elapsed)
+	}
+	fact, err := back.Snapshot("FACT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fact.Cardinality() != rows {
+		t.Fatalf("cardinality = %d, want %d", fact.Cardinality(), rows)
+	}
+	if err := back.Insert("FACT", rel.Tuple{rel.Int(rows - 1), rel.String("dup")}); err == nil {
+		t.Fatal("key constraint lost in snapshot")
+	}
+}
+
+// TestSnapshotDuplicateKeyRejected: a snapshot whose rows repeat a primary
+// key fails to load with the duplicate-key error.
+func TestSnapshotDuplicateKeyRejected(t *testing.T) {
+	snap := dbSnapshot{Name: "CD", Relations: []relSnapshot{{
+		Name:  "FIRM",
+		Attrs: rel.SchemaOf("FNAME", "CEO").Attrs(),
+		Key:   []string{"FNAME"},
+		Tuples: [][]rel.Value{
+			{rel.String("IBM"), rel.String("a")},
+			{rel.String("DEC"), rel.String("b")},
+			{rel.String("IBM"), rel.String("c")},
+		},
+	}}}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadSnapshot(&buf)
+	if err == nil || !strings.Contains(err.Error(), "duplicate primary key") {
+		t.Fatalf("err = %v, want a duplicate primary key error", err)
 	}
 }
 

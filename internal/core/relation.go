@@ -37,14 +37,19 @@ type Relation struct {
 	// Reg resolves source IDs in the cells' tag sets to database names.
 	Reg *sourceset.Registry
 	// arena backs rows produced by the algebra: operators slice output rows
-	// out of relation-owned chunks (NewRow) instead of one make per row.
+	// out of relation-owned chunks (NewRow) instead of one make per row. The
+	// first chunk holds 16 rows and each later one doubles, up to
+	// arenaChunkCells, so a small batch relation zeroes only what it uses.
 	// Rows carved from retired chunks stay valid — they keep the old backing
 	// array alive — so the arena only ever grows forward.
 	arena []Cell
 }
 
-// arenaChunkCells is the cell count of one freshly-grown arena chunk.
+// arenaChunkCells caps the cell count of one freshly-grown arena chunk.
 const arenaChunkCells = 4096
+
+// arenaFirstRows is the row count the first arena chunk of a relation holds.
+const arenaFirstRows = 16
 
 // NewRow returns a zeroed row of n cells sliced out of the relation's arena.
 // The row's capacity is clamped to n, so appending to it cannot scribble
@@ -55,10 +60,11 @@ func (p *Relation) NewRow(n int) Tuple {
 		return Tuple{}
 	}
 	if cap(p.arena)-len(p.arena) < n {
-		chunk := arenaChunkCells
-		if chunk < n {
-			chunk = n
+		chunk := arenaFirstRows * n
+		if c := cap(p.arena); c > 0 {
+			chunk = 2 * c
 		}
+		chunk = max(min(chunk, arenaChunkCells), n)
 		p.arena = make([]Cell, 0, chunk)
 	}
 	s := len(p.arena)

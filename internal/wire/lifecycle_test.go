@@ -1,7 +1,7 @@
 package wire
 
 // Lifecycle regression tests: Close during in-flight work (round trips and
-// streams) must never panic or leak the per-stream connection, Close must be
+// streams) must never panic or leak a connection, Close must be
 // idempotent and concurrency-safe, and Server.Shutdown must drain in-flight
 // requests — and give up at its deadline when a peer won't finish.
 
@@ -54,10 +54,10 @@ func TestClientCloseDuringStream(t *testing.T) {
 		t.Fatalf("cursor Close after client Close: %v", err)
 	}
 	c.mu.Lock()
-	leaked := len(c.streams)
+	leaked := len(c.live)
 	c.mu.Unlock()
 	if leaked != 0 {
-		t.Fatalf("%d stream connection(s) leaked past Close", leaked)
+		t.Fatalf("%d connection(s) leaked past Close", leaked)
 	}
 }
 

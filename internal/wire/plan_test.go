@@ -67,7 +67,7 @@ func TestExecutePlanRoundTrip(t *testing.T) {
 }
 
 // TestOpenPlanStreamRoundTrip: the "openplan" request streams the filtered
-// batches on a dedicated connection.
+// batches on a pooled connection.
 func TestOpenPlanStreamRoundTrip(t *testing.T) {
 	_, client := planFixture(t)
 	cur, err := client.OpenPlan(lqp.PlanOf(

@@ -6,8 +6,8 @@ package wire
 // A "session" request opens a server-side session (audit trail, federation
 // metadata for thin shells); "query" runs one polygen query and returns the
 // composite answer with its source tags; "queryopen" streams the answer as
-// tagged row-batch frames on a dedicated connection, reusing the frame
-// protocol of the LQP streams.
+// tagged row-batch frames on a pooled connection, reusing the frame
+// protocol and connection handling of the LQP streams.
 //
 // Source tags travel as per-message directories: every tagged relation or
 // frame carries the list of source names its cells reference, and cells
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/federation"
@@ -462,26 +461,23 @@ type Diagnosed interface {
 }
 
 // OpenQuery runs one polygen query on the mediator and streams the tagged
-// answer batches on a dedicated connection. The returned answer carries the
-// plan (Relation is nil — the rows are in the cursor). The caller owns the
-// cursor and must Close it; Client.Close aborts it with the rest.
+// answer batches on a pooled connection, as Open does. The returned answer
+// carries the plan (Relation is nil — the rows are in the cursor). The
+// caller owns the cursor and must Close it; Client.Close aborts it with the
+// rest.
 func (c *Client) OpenQuery(session, text string, algebraic bool) (core.Cursor, *QueryAnswer, error) {
-	conn, dec, resp, err := c.startStream(request{Kind: "queryopen", Session: session, Text: text, Algebraic: algebraic, Codec: c.streamCodec()})
+	cc, resp, err := c.startStream(request{Kind: "queryopen", Session: session, Text: text, Algebraic: algebraic, Codec: c.streamCodec()})
 	if err != nil {
 		return nil, nil, err
 	}
 	if !resp.HasPoly {
-		c.unregisterStream(conn)
-		conn.Close()
+		c.release(cc, true)
 		return nil, nil, fmt.Errorf("wire: queryopen response carried no schema")
 	}
 	cur := &polyStreamCursor{
-		client:  c,
-		conn:    conn,
-		dec:     dec,
-		name:    resp.Poly.Name,
-		attrs:   append([]core.Attr(nil), resp.Poly.Attrs...),
-		timeout: c.timeout(),
+		stream: stream{client: c, cc: cc},
+		name:   resp.Poly.Name,
+		attrs:  append([]core.Attr(nil), resp.Poly.Attrs...),
 	}
 	return cur, &QueryAnswer{PlanRows: resp.PlanRows, CacheHit: resp.CacheHit}, nil
 }
@@ -492,14 +488,9 @@ func (c *Client) OpenQuery(session, text string, algebraic bool) (core.Cursor, *
 // with O(columns + distinct sets) allocations; on a gob stream the flat
 // cells are decoded as before.
 type polyStreamCursor struct {
-	client  *Client
-	conn    net.Conn
-	dec     *gob.Decoder
+	stream
 	name    string
 	attrs   []core.Attr
-	timeout time.Duration
-	done    bool
-	closed  bool
 	diag    federation.Report
 	hasDiag bool
 }
@@ -517,31 +508,22 @@ func (pc *polyStreamCursor) Registry() *sourceset.Registry { return pc.client.Re
 // nextFrame decodes frames until a batch arrives, in whichever framing the
 // stream uses: exactly one of the returned batch forms is non-empty.
 func (pc *polyStreamCursor) nextFrame() ([]core.Tuple, *core.ColBatch, error) {
-	if pc.done || pc.closed {
-		return nil, nil, io.EOF
-	}
 	for {
-		pc.conn.SetReadDeadline(time.Now().Add(pc.timeout))
-		var f frame
-		if err := pc.dec.Decode(&f); err != nil {
-			pc.done = true
-			pc.Close()
-			return nil, nil, fmt.Errorf("wire: receive frame from %s: %w", pc.client.addr, err)
+		f, err := pc.next()
+		if err != nil {
+			return nil, nil, err
 		}
 		switch {
 		case f.Err != "":
-			pc.done = true
 			return nil, nil, errors.New(f.Err)
 		case f.Done:
-			pc.done = true
 			pc.diag = f.Diag
 			pc.hasDiag = true
 			return nil, nil, io.EOF
 		case len(f.Bin) > 0:
 			cb, err := decodeCoreFrame(f.Bin, pc.name, pc.attrs, pc.client.Reg)
 			if err != nil {
-				pc.done = true
-				pc.Close()
+				pc.end(true)
 				return nil, nil, fmt.Errorf("wire: decode frame from %s: %w", pc.client.addr, err)
 			}
 			if cb.Len() == 0 {
@@ -551,8 +533,7 @@ func (pc *polyStreamCursor) nextFrame() ([]core.Tuple, *core.ColBatch, error) {
 		case len(f.Poly) > 0:
 			batch, err := unflattenBatch(f.Poly, f.Sources, pc.client.Reg, len(pc.attrs))
 			if err != nil {
-				pc.done = true
-				pc.Close()
+				pc.end(true)
 				return nil, nil, err
 			}
 			return batch, nil, nil
@@ -584,15 +565,6 @@ func (pc *polyStreamCursor) NextCol() (*core.ColBatch, error) {
 		}
 	}
 	return cb, nil
-}
-
-func (pc *polyStreamCursor) Close() error {
-	if pc.closed {
-		return nil
-	}
-	pc.closed = true
-	pc.client.unregisterStream(pc.conn)
-	return pc.conn.Close()
 }
 
 var _ core.ColCursor = (*polyStreamCursor)(nil)

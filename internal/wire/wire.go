@@ -12,9 +12,9 @@
 //     error.
 //   - streaming: an "open"/"openplan" (or mediator "queryopen") request is
 //     answered by a schema header followed by row-batch frames and a final
-//     done frame, on a connection dedicated to that stream. The server
-//     starts framing as soon as the operation yields rows, so remote
-//     retrieval overlaps with client-side work; a pushed-down plan
+//     done frame, on a pooled connection the stream holds until it ends.
+//     The server starts framing as soon as the operation yields rows, so
+//     remote retrieval overlaps with client-side work; a pushed-down plan
 //     evaluates entirely server-side, so only the filtered, narrowed rows
 //     are framed at all.
 //
@@ -33,7 +33,8 @@
 // concurrent Execute/ExecutePlan/Stats round trips against one server
 // proceed in parallel instead of serializing on a single gob stream, and a
 // transport failure poisons only the connection it happened on. Streams
-// always run on their own dedicated connection, outside the pool.
+// draw on the same pool, so a query's many short LQP legs reuse warm
+// connections and gob codecs instead of dialing one each.
 package wire
 
 import (
@@ -561,10 +562,13 @@ func (s *Server) Shutdown(d time.Duration) error {
 // ones up to the bound and queueing beyond it, so calls against one server
 // proceed in parallel instead of serializing on a single gob stream. A
 // transport failure closes only the connection it happened on; the next
-// call dials afresh. Streams (Open, OpenPlan, OpenQuery) run on a dedicated
-// connection per stream, outside the pool, so several streams and the
-// request/response traffic never block each other; Close tears stream
-// connections down too, so an in-flight stream fails fast instead of
+// call dials afresh. Streams (Open, OpenPlan, OpenQuery) take an idle
+// pooled connection, or dial one when none is idle — they never wait on the
+// bound, and a connection held by a stream does not count toward it, so
+// streams and request/response traffic never block each other. A stream
+// that drains to its Done or Err frame hands its connection back to the
+// pool; one closed early retires it, since unread frames poison it. Close
+// tears down every connection, so an in-flight stream fails fast instead of
 // leaking.
 type Client struct {
 	// Timeout bounds every wire read and write: the initial exchange of a
@@ -585,13 +589,12 @@ type Client struct {
 	name     string
 	maxConns int
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	idle    []*clientConn
-	live    map[net.Conn]struct{} // every pooled conn, checked out or idle
-	nconns  int
-	closed  bool
-	streams map[net.Conn]struct{} // dedicated per-stream conns
+	mu     sync.Mutex
+	cond   *sync.Cond
+	idle   []*clientConn
+	live   map[net.Conn]struct{} // every open conn: idle, in a round trip or in a stream
+	nconns int                   // conns counted toward maxConns: idle or in a round trip
+	closed bool
 }
 
 // clientConn is one pooled connection with its gob codecs.
@@ -599,6 +602,9 @@ type clientConn struct {
 	conn net.Conn
 	dec  *gob.Decoder
 	enc  *gob.Encoder
+	// stream marks a connection checked out by a stream, which does not
+	// count toward maxConns until release.
+	stream bool
 }
 
 // Dial connects with a DefaultMaxConns connection pool and caches the
@@ -631,7 +637,6 @@ func newClient(addr string, maxConns int) *Client {
 		maxConns: maxConns,
 		Reg:      sourceset.NewRegistry(),
 		live:     make(map[net.Conn]struct{}),
-		streams:  make(map[net.Conn]struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
@@ -657,62 +662,77 @@ func (c *Client) dialConn() (*clientConn, error) {
 	return &clientConn{conn: conn, dec: gob.NewDecoder(conn), enc: gob.NewEncoder(conn)}, nil
 }
 
-// acquire checks a connection out of the pool: an idle one if available, a
-// fresh dial while under the bound, otherwise it waits for a release.
-// reused reports that the connection sat idle in the pool — it may have
-// been dropped by the server since (idle timeout, restart), so a transport
-// failure on it is retriable.
-func (c *Client) acquire() (cc *clientConn, reused bool, err error) {
+// acquire checks a connection out of the pool: an idle one if available,
+// otherwise a fresh dial. A round trip dials only while the pool is under
+// its bound and otherwise waits for a release. A stream never waits: its
+// connection stops counting toward the bound until release, so a caller
+// holding streams open can still run round trips. reused reports that the
+// connection sat idle in the pool — it may have been dropped by the server
+// since (idle timeout, restart), so a transport failure on it is retriable.
+func (c *Client) acquire(stream bool) (cc *clientConn, reused bool, err error) {
 	c.mu.Lock()
-	for {
-		if c.closed {
-			c.mu.Unlock()
-			return nil, false, c.errClosed()
-		}
-		if n := len(c.idle); n > 0 {
-			cc := c.idle[n-1]
-			c.idle = c.idle[:n-1]
-			c.mu.Unlock()
-			return cc, true, nil
-		}
-		if c.nconns < c.maxConns {
-			c.nconns++
-			c.mu.Unlock()
-			cc, err := c.dialConn()
-			c.mu.Lock()
-			if err != nil {
-				c.nconns--
-				c.cond.Signal()
-				c.mu.Unlock()
-				return nil, false, err
-			}
-			if c.closed {
-				c.nconns--
-				c.cond.Signal()
-				c.mu.Unlock()
-				cc.conn.Close()
-				return nil, false, c.errClosed()
-			}
-			c.live[cc.conn] = struct{}{}
-			c.mu.Unlock()
-			return cc, false, nil
-		}
+	for !c.closed && len(c.idle) == 0 && !stream && c.nconns >= c.maxConns {
 		c.cond.Wait()
 	}
+	if c.closed {
+		c.mu.Unlock()
+		return nil, false, c.errClosed()
+	}
+	if n := len(c.idle); n > 0 {
+		cc = c.idle[n-1]
+		c.idle = c.idle[:n-1]
+		if stream {
+			c.nconns--
+			c.cond.Signal()
+		}
+		cc.stream = stream
+		c.mu.Unlock()
+		return cc, true, nil
+	}
+	if !stream {
+		c.nconns++
+	}
+	c.mu.Unlock()
+	cc, err = c.dialConn()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err == nil && c.closed {
+		cc.conn.Close()
+		err = c.errClosed()
+	}
+	if err != nil {
+		if !stream {
+			c.nconns--
+			c.cond.Signal()
+		}
+		return nil, false, err
+	}
+	c.live[cc.conn] = struct{}{}
+	cc.stream = stream
+	return cc, false, nil
 }
 
 // release returns a connection to the pool, or retires it when the exchange
-// failed (a transport error poisons the gob stream) or the client closed.
+// failed (a transport error or an unread stream frame poisons the gob
+// stream), the client closed, or the pool is already full — streams may
+// have grown it past maxConns.
 func (c *Client) release(cc *clientConn, broken bool) {
+	if !broken {
+		cc.conn.SetDeadline(time.Time{})
+	}
 	c.mu.Lock()
-	if broken || c.closed {
+	if !cc.stream {
 		c.nconns--
+	}
+	cc.stream = false
+	if broken || c.closed || c.nconns >= c.maxConns {
 		delete(c.live, cc.conn)
 		c.cond.Signal()
 		c.mu.Unlock()
 		cc.conn.Close()
 		return
 	}
+	c.nconns++
 	c.idle = append(c.idle, cc)
 	c.cond.Signal()
 	c.mu.Unlock()
@@ -768,7 +788,7 @@ func (c *Client) flushIdle() {
 // errors travel in resp.Err); reused reports the connection came from the
 // idle pool, making a transport failure retriable.
 func (c *Client) roundTripOnce(req request) (response, bool, error) {
-	cc, reused, err := c.acquire()
+	cc, reused, err := c.acquire(false)
 	if err != nil {
 		return response{}, false, err
 	}
@@ -788,7 +808,6 @@ func (c *Client) roundTripOnce(req request) (response, bool, error) {
 		}
 		return response{}, reused, fmt.Errorf("wire: receive from %s: %w", c.addr, err)
 	}
-	cc.conn.SetDeadline(time.Time{})
 	c.release(cc, false)
 	return resp, reused, nil
 }
@@ -891,11 +910,11 @@ func (c *Client) Stats() ([]lqp.RelationStats, error) {
 }
 
 // Open implements lqp.Streamer: the operation is evaluated remotely and its
-// rows arrive as frames on a connection dedicated to this stream, so the
-// server transfers ahead (into the sockets' buffers) while the caller
-// consumes — remote retrieval overlaps with PQP-side work. The cursor must
-// be closed; an abandoned stream only costs its own connection, and
-// Client.Close tears it down with the rest.
+// rows arrive as frames on a pooled connection the stream holds until its
+// Done frame, so the server transfers ahead (into the sockets' buffers)
+// while the caller consumes — remote retrieval overlaps with PQP-side work.
+// The cursor must be closed; a stream abandoned before its end retires its
+// connection, and Client.Close tears it down with the rest.
 func (c *Client) Open(op lqp.Op) (rel.Cursor, error) {
 	return c.openStream(request{Kind: "open", Op: op})
 }
@@ -909,52 +928,45 @@ func (c *Client) OpenPlan(p lqp.Plan) (rel.Cursor, error) {
 	return c.openStream(request{Kind: "openplan", Plan: p})
 }
 
-// startStream dials a dedicated connection, registers it with the client
-// (so Close can abort the stream), sends req and decodes the header
-// response. On error nothing stays registered or open.
-func (c *Client) startStream(req request) (net.Conn, *gob.Decoder, response, error) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return nil, nil, response{}, c.errClosed()
+// startStream checks out a connection for a stream, sends req and decodes
+// the header response. Like roundTrip, it retries once on a fresh dial when
+// the exchange fails on a connection that sat idle in the pool: every
+// stream kind is read-only, so the replay is safe. An error response leaves
+// the connection reusable; on any error the stream holds no connection.
+func (c *Client) startStream(req request) (*clientConn, response, error) {
+	cc, resp, reused, err := c.startStreamOnce(req)
+	if err != nil && reused {
+		c.flushIdle()
+		cc, resp, _, err = c.startStreamOnce(req)
 	}
-	conn, err := net.DialTimeout("tcp", c.addr, c.timeout())
 	if err != nil {
-		return nil, nil, response{}, fmt.Errorf("wire: dial %s: %w", c.addr, err)
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		conn.Close()
-		return nil, nil, response{}, c.errClosed()
-	}
-	c.streams[conn] = struct{}{}
-	c.mu.Unlock()
-	fail := func(err error) (net.Conn, *gob.Decoder, response, error) {
-		c.unregisterStream(conn)
-		conn.Close()
-		return nil, nil, response{}, err
-	}
-	dec := gob.NewDecoder(conn)
-	conn.SetDeadline(time.Now().Add(c.timeout()))
-	if err := gob.NewEncoder(conn).Encode(req); err != nil {
-		return fail(fmt.Errorf("wire: send to %s: %w", c.addr, err))
-	}
-	var resp response
-	if err := dec.Decode(&resp); err != nil {
-		return fail(fmt.Errorf("wire: receive from %s: %w", c.addr, err))
+		return nil, response{}, err
 	}
 	if resp.Err != "" {
-		return fail(errors.New(resp.Err))
+		c.release(cc, false)
+		return nil, response{}, errors.New(resp.Err)
 	}
-	return conn, dec, resp, nil
+	return cc, resp, nil
 }
 
-func (c *Client) unregisterStream(conn net.Conn) {
-	c.mu.Lock()
-	delete(c.streams, conn)
-	c.mu.Unlock()
+// startStreamOnce is one attempt of startStream; the error is
+// transport-level only, and reused is as for roundTripOnce.
+func (c *Client) startStreamOnce(req request) (*clientConn, response, bool, error) {
+	cc, reused, err := c.acquire(true)
+	if err != nil {
+		return nil, response{}, false, err
+	}
+	cc.conn.SetDeadline(time.Now().Add(c.timeout()))
+	if err := cc.enc.Encode(req); err != nil {
+		c.release(cc, true)
+		return nil, response{}, reused, fmt.Errorf("wire: send to %s: %w", c.addr, err)
+	}
+	var resp response
+	if err := cc.dec.Decode(&resp); err != nil {
+		c.release(cc, true)
+		return nil, response{}, reused, fmt.Errorf("wire: receive from %s: %w", c.addr, err)
+	}
+	return cc, resp, reused, nil
 }
 
 // streamCodec is the frame codec a client requests for its streams.
@@ -967,22 +979,59 @@ func (c *Client) streamCodec() string {
 
 func (c *Client) openStream(req request) (rel.Cursor, error) {
 	req.Codec = c.streamCodec()
-	conn, dec, resp, err := c.startStream(req)
+	cc, resp, err := c.startStream(req)
 	if err != nil {
 		return nil, err
 	}
 	if !resp.HasRel {
-		c.unregisterStream(conn)
-		conn.Close()
+		c.release(cc, true)
 		return nil, fmt.Errorf("wire: open response carried no schema")
 	}
 	return &streamCursor{
-		client:  c,
-		conn:    conn,
-		dec:     dec,
-		schema:  rel.NewSchema(resp.Relation.Attrs...),
-		timeout: c.timeout(),
+		stream: stream{client: c, cc: cc},
+		schema: rel.NewSchema(resp.Relation.Attrs...),
 	}, nil
+}
+
+// stream is the client end of one streamed result, shared by the plain and
+// the tagged cursor: it reads frames off the stream's pooled connection and
+// gives the connection back once the stream is over.
+type stream struct {
+	client *Client
+	cc     *clientConn // nil once the stream is over
+}
+
+// next decodes the next frame. Any error ends the stream and retires the
+// connection (the gob stream is unusable); a nil cc means it already ended.
+func (st *stream) next() (frame, error) {
+	var f frame
+	if st.cc == nil {
+		return f, io.EOF
+	}
+	st.cc.conn.SetReadDeadline(time.Now().Add(st.client.timeout()))
+	if err := st.cc.dec.Decode(&f); err != nil {
+		st.end(true)
+		return f, fmt.Errorf("wire: receive frame from %s: %w", st.client.addr, err)
+	}
+	if f.Done || f.Err != "" {
+		st.end(false)
+	}
+	return f, nil
+}
+
+// end hands the connection back (broken: retire it) unless already ended.
+func (st *stream) end(broken bool) {
+	if st.cc != nil {
+		st.client.release(st.cc, broken)
+		st.cc = nil
+	}
+}
+
+// Close ends the stream. Closing before the Done or Err frame retires the
+// connection, because unread frames poison it.
+func (st *stream) Close() error {
+	st.end(true)
+	return nil
 }
 
 // streamCursor decodes the frames of one streamed result. It is a
@@ -991,13 +1040,8 @@ func (c *Client) openStream(req request) (rel.Cursor, error) {
 // row view; on a gob stream Next returns the decoded rows as before and
 // NextCol columnarizes them.
 type streamCursor struct {
-	client  *Client
-	conn    net.Conn
-	dec     *gob.Decoder
-	schema  *rel.Schema
-	timeout time.Duration
-	done    bool
-	closed  bool
+	stream
+	schema *rel.Schema
 }
 
 func (sc *streamCursor) Schema() *rel.Schema { return sc.schema }
@@ -1005,29 +1049,20 @@ func (sc *streamCursor) Schema() *rel.Schema { return sc.schema }
 // nextFrame decodes frames until a batch arrives, in whichever framing the
 // stream uses: exactly one of the returned batch forms is non-empty.
 func (sc *streamCursor) nextFrame() ([]rel.Tuple, *rel.ColBatch, error) {
-	if sc.done || sc.closed {
-		return nil, nil, io.EOF
-	}
 	for {
-		sc.conn.SetReadDeadline(time.Now().Add(sc.timeout))
-		var f frame
-		if err := sc.dec.Decode(&f); err != nil {
-			sc.done = true
-			sc.Close()
-			return nil, nil, fmt.Errorf("wire: receive frame from %s: %w", sc.client.addr, err)
+		f, err := sc.next()
+		if err != nil {
+			return nil, nil, err
 		}
 		switch {
 		case f.Err != "":
-			sc.done = true
 			return nil, nil, errors.New(f.Err)
 		case f.Done:
-			sc.done = true
 			return nil, nil, io.EOF
 		case len(f.Bin) > 0:
 			cb, err := decodeRelFrame(f.Bin, sc.schema)
 			if err != nil {
-				sc.done = true
-				sc.Close()
+				sc.end(true)
 				return nil, nil, fmt.Errorf("wire: decode frame from %s: %w", sc.client.addr, err)
 			}
 			if cb.Len() == 0 {
@@ -1063,17 +1098,6 @@ func (sc *streamCursor) NextCol() (*rel.ColBatch, error) {
 	return cb, nil
 }
 
-func (sc *streamCursor) Close() error {
-	if sc.closed {
-		return nil
-	}
-	sc.closed = true
-	if sc.client != nil {
-		sc.client.unregisterStream(sc.conn)
-	}
-	return sc.conn.Close()
-}
-
 // Close tears down the pool and every in-flight stream. Round trips and
 // stream reads in progress fail with a transport error; later calls fail
 // fast with a closed-client error. Close is idempotent and safe to call
@@ -1085,13 +1109,11 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	conns := make([]net.Conn, 0, len(c.live)+len(c.streams))
+	conns := make([]net.Conn, 0, len(c.live))
 	for conn := range c.live {
 		conns = append(conns, conn)
 	}
-	for conn := range c.streams {
-		conns = append(conns, conn)
-	}
+	c.live = make(map[net.Conn]struct{})
 	c.idle = nil
 	c.cond.Broadcast()
 	c.mu.Unlock()
