@@ -18,6 +18,7 @@ package relalg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/rel"
 )
@@ -75,7 +76,7 @@ func Restrict(r *rel.Relation, x string, theta rel.Theta, y string) (*rel.Relati
 }
 
 // Project returns r restricted to the named attributes, with duplicate
-// tuples eliminated (set semantics).
+// tuples eliminated (set semantics). Naming one attribute twice is an error.
 func Project(r *rel.Relation, attrs []string) (*rel.Relation, error) {
 	idx := make([]int, len(attrs))
 	outAttrs := make([]rel.Attr, len(attrs))
@@ -83,6 +84,9 @@ func Project(r *rel.Relation, attrs []string) (*rel.Relation, error) {
 		ci, err := r.Col(a)
 		if err != nil {
 			return nil, err
+		}
+		if slices.Contains(idx[:i], ci) {
+			return nil, fmt.Errorf("relalg: attribute %q projected twice", a)
 		}
 		idx[i] = ci
 		outAttrs[i] = r.Schema.Attr(ci)

@@ -125,6 +125,14 @@ func TestProjectReorders(t *testing.T) {
 	wantRows(t, r, "ann|1", "bob|2", "cat|3")
 }
 
+// TestProjectRejectsRepeatedAttr: a projection naming one attribute twice
+// is an error, not a panic — LQP servers run Project on client input.
+func TestProjectRejectsRepeatedAttr(t *testing.T) {
+	if _, err := Project(people(), []string{"AGE", "AGE"}); err == nil {
+		t.Fatal("Project accepted a repeated attribute")
+	}
+}
+
 func TestProduct(t *testing.T) {
 	a := mk("A", []string{"X"}, []any{1}, []any{2})
 	b := mk("B", []string{"Y"}, []any{"p"}, []any{"q"})

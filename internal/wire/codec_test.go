@@ -5,9 +5,12 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/federation"
 	"repro/internal/lqp"
@@ -15,18 +18,27 @@ import (
 	"repro/internal/sourceset"
 )
 
-// This file tests the binary frame codec of codec.go three ways: direct
-// encode/decode round trips over adversarially mixed values (NaN, -0, empty
-// strings, nulls, >64-source tag sets), an interop matrix proving the binary
-// and gob framings byte-for-answer identical (including old-peer fallback in
-// both directions), and a fuzzer (FuzzFrameRoundTrip) that both derives
-// random batches from the fuzz input and throws the raw input at the
-// decoders, which must fail cleanly rather than panic or over-allocate.
+// This file tests the binary frame codec (rel/codec.go, core/codec.go) as
+// the wire uses it, three ways: direct encode/decode round trips over
+// adversarially mixed values (NaN, -0, empty strings, nulls, >64-source tag
+// sets), every answer-returning client call checked cell for cell and tag
+// for tag against its source relation, and a fuzzer (FuzzFrameRoundTrip,
+// fuzz_test.go) that both derives random batches from the fuzz input and
+// throws the raw input at the decoders, which must fail cleanly rather than
+// panic or over-allocate.
 
 // renderCell renders one tagged cell registry-independently (kind, datum,
-// tag names) so answers decoded into different client registries compare.
+// sorted tag names) so answers decoded into different client registries
+// compare: a set's Format follows registry ID order, which depends on the
+// order names were interned.
 func renderCell(c core.Cell, reg *sourceset.Registry) string {
-	return fmt.Sprintf("%d:%s %s %s", c.D.Kind(), c.D, c.O.Format(reg), c.I.Format(reg))
+	return fmt.Sprintf("%d:%s %v %v", c.D.Kind(), c.D, sortedNames(c.O, reg), sortedNames(c.I, reg))
+}
+
+func sortedNames(s sourceset.Set, reg *sourceset.Registry) []string {
+	names := s.Names(reg)
+	slices.Sort(names)
+	return names
 }
 
 func renderTagged(p *core.Relation) []string {
@@ -149,8 +161,8 @@ func TestRelFrameRoundTrip(t *testing.T) {
 			}
 			b.AppendTuple(row)
 		}
-		payload := appendRelFrame(nil, b)
-		got, err := decodeRelFrame(payload, schema)
+		payload := rel.AppendFrame(nil, b)
+		got, err := rel.DecodeFrame(payload, schema)
 		if err != nil {
 			t.Fatalf("iter %d: decode: %v", iter, err)
 		}
@@ -171,7 +183,7 @@ func TestRelFrameRoundTrip(t *testing.T) {
 			}
 		}
 		// Re-encoding the decoded batch reproduces the payload byte for byte.
-		again := appendRelFrame(nil, got)
+		again := rel.AppendFrame(nil, got)
 		if string(again) != string(payload) {
 			t.Fatalf("iter %d: re-encode diverged", iter)
 		}
@@ -186,9 +198,9 @@ func TestCoreFrameRoundTrip(t *testing.T) {
 	for iter := 0; iter < 150; iter++ {
 		reg := sourceset.NewRegistry()
 		b := randomTaggedBatch(rng, reg, 1+rng.Intn(3), rng.Intn(10))
-		payload := appendCoreFrame(nil, b)
+		payload := core.AppendFrame(nil, b)
 		fresh := sourceset.NewRegistry()
-		got, err := decodeCoreFrame(payload, b.Name, b.Attrs, fresh)
+		got, err := core.DecodeFrame(payload, b.Name, b.Attrs, fresh)
 		if err != nil {
 			t.Fatalf("iter %d: decode: %v", iter, err)
 		}
@@ -202,7 +214,7 @@ func TestCoreFrameRoundTrip(t *testing.T) {
 }
 
 // fixedMediator serves one prebuilt tagged relation — enough mediator to
-// exercise the "queryopen" framing in both codecs.
+// exercise the "query" and "queryopen" framing.
 type fixedMediator struct {
 	p *core.Relation
 }
@@ -222,75 +234,196 @@ func (m *fixedMediator) OpenQuery(string, string, bool) (*MediatedStream, error)
 	}, nil
 }
 
-// TestBinaryStreamMatchesGob is the interop matrix: the same answers must
-// arrive byte-for-answer identical through every codec pairing — binary
-// client with binary server, legacy (gob) client with a new server, and a
-// binary-requesting client against a server refusing the codec (the
-// old-server fallback).
+// dataOf is the plain relation under a tagged one: the same rows, tags
+// dropped.
+func dataOf(p *core.Relation) *rel.Relation {
+	names := make([]string, len(p.Attrs))
+	for i, a := range p.Attrs {
+		names[i] = a.Name
+	}
+	r := rel.NewRelation(p.Name, rel.SchemaOf(names...))
+	for _, t := range p.Tuples {
+		row := make(rel.Tuple, len(t))
+		for i, c := range t {
+			row[i] = c.D
+		}
+		r.Tuples = append(r.Tuples, row)
+	}
+	return r
+}
+
+// maxTagWidth is the largest origin or intermediate set in p.
+func maxTagWidth(p *core.Relation) int {
+	w := 0
+	for _, t := range p.Tuples {
+		for _, c := range t {
+			w = max(w, len(c.O.IDs()), len(c.I.IDs()))
+		}
+	}
+	return w
+}
+
+// TestWireAnswersMatchSource: every client call that returns rows — the
+// materialized Execute, ExecutePlan and Query and the streamed Open,
+// OpenPlan and OpenQuery — delivers its source relation cell for cell and
+// tag for tag, for an empty relation, a one-frame mix of NULL/NaN/-0 values
+// and >64-source tag sets, and a relation spanning several stream batches.
+func TestWireAnswersMatchSource(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	reg := sourceset.NewRegistry()
+	for _, tc := range []struct {
+		name  string
+		nrows int
+	}{{"empty", 0}, {"mixed", 17}, {"multi-batch", 2500}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tagged := randomTaggedBatch(rng, reg, 3, tc.nrows).Relation()
+			tagged.Name = "T"
+			if tc.nrows > 0 && maxTagWidth(tagged) <= 64 {
+				t.Fatal("fixture has no >64-source tag set")
+			}
+			plain := dataOf(tagged)
+			db := catalog.NewDatabase("DB")
+			db.MustCreate("T", plain.Schema)
+			if err := db.Insert("T", plain.Tuples...); err != nil {
+				t.Fatal(err)
+			}
+			lqpClient := serveForTest(t, NewServer(db))
+			medClient := serveForTest(t, NewMediatorServer(&fixedMediator{p: tagged}))
+
+			plan := lqp.PlanOf(lqp.Retrieve("T"))
+			plainCalls := map[string]func() (*rel.Relation, error){
+				"Execute":     func() (*rel.Relation, error) { return lqpClient.Execute(lqp.Retrieve("T")) },
+				"ExecutePlan": func() (*rel.Relation, error) { return lqpClient.ExecutePlan(plan) },
+				"Open": func() (*rel.Relation, error) {
+					cur, err := lqpClient.Open(lqp.Retrieve("T"))
+					if err != nil {
+						return nil, err
+					}
+					return rel.Drain(cur)
+				},
+				"OpenPlan": func() (*rel.Relation, error) {
+					cur, err := lqpClient.OpenPlan(plan)
+					if err != nil {
+						return nil, err
+					}
+					return rel.Drain(cur)
+				},
+			}
+			want := renderPlain(plain)
+			for name, call := range plainCalls {
+				got, err := call()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !reflect.DeepEqual(got.Schema.Attrs(), plain.Schema.Attrs()) {
+					t.Errorf("%s: schema %v, want %v", name, got.Schema, plain.Schema)
+				}
+				if have := renderPlain(got); !sameLines(have, want) {
+					t.Errorf("%s: %d rows diverged from the source's %d", name, len(have), len(want))
+				}
+			}
+
+			taggedCalls := map[string]func() (*core.Relation, error){
+				"Query": func() (*core.Relation, error) {
+					ans, err := medClient.Query("", "q", false)
+					if err != nil {
+						return nil, err
+					}
+					return ans.Relation, nil
+				},
+				"OpenQuery": func() (*core.Relation, error) {
+					cur, _, err := medClient.OpenQuery("", "q", false)
+					if err != nil {
+						return nil, err
+					}
+					return core.Drain(cur)
+				},
+			}
+			wantTagged := renderTagged(tagged)
+			for name, call := range taggedCalls {
+				got, err := call()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got.Name != tagged.Name || !reflect.DeepEqual(got.Attrs, tagged.Attrs) {
+					t.Errorf("%s: header %s%v, want %s%v", name, got.Name, got.Attrs, tagged.Name, tagged.Attrs)
+				}
+				if have := renderTagged(got); !sameLines(have, wantTagged) {
+					t.Errorf("%s: answer diverged from the source relation:\ngot:\n%s\nwant:\n%s",
+						name, strings.Join(have, "\n"), strings.Join(wantTagged, "\n"))
+				}
+			}
+		})
+	}
+}
+
+// TestBinaryStreamMatchesGob: a tagged answer reaches the client identical
+// whether it arrives streamed (one binary frame per batch, each inside its
+// own gob frame envelope) or materialized (one binary frame inside the gob
+// response envelope). The two alternate on one pooled connection, so the
+// gob envelope stream must stay in step around every binary payload. The
+// name dates from when tagged rows could also travel as gob rows.
 func TestBinaryStreamMatchesGob(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	reg := sourceset.NewRegistry()
 	tagged := randomTaggedBatch(rng, reg, 3, 17).Relation()
 	tagged.Name = "ANS"
+	c := serveForTest(t, NewMediatorServer(&fixedMediator{p: tagged}))
 
-	openAnswer := func(legacyClient, legacyServer bool) []string {
-		srv := NewMediatorServer(&fixedMediator{p: tagged})
-		srv.LegacyFrames = legacyServer
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		c.LegacyFrames = legacyClient
+	want := renderTagged(tagged)
+	for round := 0; round < 3; round++ {
 		cur, _, err := c.OpenQuery("", "q", false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := core.Drain(cur)
+		streamed, err := core.Drain(cur)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return renderTagged(p)
-	}
-
-	want := renderTagged(tagged)
-	for _, tc := range []struct {
-		name                       string
-		legacyClient, legacyServer bool
-	}{
-		{"binary", false, false},
-		{"legacy-client", true, false},
-		{"legacy-server", false, true},
-		{"legacy-both", true, true},
-	} {
-		got := openAnswer(tc.legacyClient, tc.legacyServer)
-		if !sameLines(got, want) {
-			t.Fatalf("%s: streamed answer diverged from the source relation:\ngot:\n%s\nwant:\n%s",
-				tc.name, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		ans, err := c.Query("", "q", false)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for leg, got := range map[string]*core.Relation{"stream": streamed, "materialized": ans.Relation} {
+			if have := renderTagged(got); !sameLines(have, want) {
+				t.Fatalf("round %d %s: answer diverged from the source relation:\ngot:\n%s\nwant:\n%s",
+					round, leg, strings.Join(have, "\n"), strings.Join(want, "\n"))
+			}
+		}
+	}
+	c.mu.Lock()
+	live := len(c.live)
+	c.mu.Unlock()
+	if live != 1 {
+		t.Fatalf("alternating streams and round trips used %d connections, want 1", live)
 	}
 }
 
-// TestPlainStreamMatchesGob: the LQP-side "open" stream under both codecs
-// delivers the same rows, and the binary stream's cursor has the columnar
-// capability.
+// TestPlainStreamMatchesGob: rows sent to an LQP as gob (insert request rows,
+// the one place rows still travel as gob) come back unchanged through the
+// binary-framed Open stream, whose cursor has the columnar capability. The
+// rows mix NULL, NaN, -0 and empty strings and span several stream batches.
 func TestPlainStreamMatchesGob(t *testing.T) {
-	_, c := startStreamServer(t, 700)
+	rng := rand.New(rand.NewSource(4))
+	src := dataOf(randomTaggedBatch(rng, sourceset.NewRegistry(), 3, 700).Relation())
+	db := catalog.NewDatabase("DB")
+	db.MustCreate("T", src.Schema)
+	c := serveForTest(t, NewServer(db))
+	if err := c.Insert("T", src.Tuples); err != nil {
+		t.Fatal(err)
+	}
 
-	binCur, err := c.Open(lqp.Retrieve("BIG"))
+	cur, err := c.Open(lqp.Retrieve("T"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, ok := binCur.(rel.ColCursor)
+	defer cur.Close()
+	cc, ok := cur.(rel.ColCursor)
 	if !ok {
 		t.Fatal("binary stream cursor is not a rel.ColCursor")
 	}
-	var colRows []rel.Tuple
+	got := &rel.Relation{Schema: src.Schema}
+	batches := 0
 	for {
 		cb, err := cc.NextCol()
 		if err == io.EOF {
@@ -299,21 +432,30 @@ func TestPlainStreamMatchesGob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		colRows = append(colRows, cb.Rows()...)
+		batches++
+		got.Tuples = append(got.Tuples, cb.Rows()...)
 	}
-	binCur.Close()
+	if batches < 2 {
+		t.Fatalf("%d rows arrived in %d batch(es), want several", len(got.Tuples), batches)
+	}
+	if !sameLines(renderPlain(got), renderPlain(src)) {
+		t.Fatalf("binary stream (%d rows) diverged from the gob-inserted rows (%d rows)", len(got.Tuples), len(src.Tuples))
+	}
+}
 
-	c.LegacyFrames = true
-	gobCur, err := c.Open(lqp.Retrieve("BIG"))
+// serveForTest listens with srv on loopback and dials a client to it, both
+// closed when the test ends.
+func serveForTest(t *testing.T, srv *Server) *Client {
+	t.Helper()
+	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gob, err := rel.Drain(gobCur)
+	t.Cleanup(func() { srv.Close() })
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin := &rel.Relation{Schema: gob.Schema, Tuples: colRows}
-	if !sameLines(renderPlain(bin), renderPlain(gob)) {
-		t.Fatalf("binary stream (%d rows) diverged from gob stream (%d rows)", len(bin.Tuples), len(gob.Tuples))
-	}
+	t.Cleanup(func() { c.Close() })
+	return c
 }

@@ -1,11 +1,15 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/lqp"
 	"repro/internal/rel"
 	"repro/internal/sourceset"
 )
@@ -78,13 +82,13 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	seedRel := rel.NewColBatch(rel.SchemaOf("A", "B"))
 	seedRel.AppendTuple(rel.Tuple{rel.Int(1), rel.String("s")})
 	seedRel.AppendTuple(rel.Tuple{rel.Null(), rel.Bool(true)})
-	f.Add(appendRelFrame(nil, seedRel))
+	f.Add(rel.AppendFrame(nil, seedRel))
 	reg := sourceset.NewRegistry()
 	seedCore := core.NewColBatch("S", reg, []core.Attr{{Name: "A"}})
 	seedCore.AppendTuple(core.Tuple{{D: rel.Float(1.5), O: sourceset.Of(reg.Intern("db")), I: sourceset.Empty()}})
-	f.Add(appendCoreFrame(nil, seedCore))
-	f.Add([]byte{magicPlain, 1, 0})
-	f.Add([]byte{magicTagged})
+	f.Add(core.AppendFrame(nil, seedCore))
+	f.Add([]byte{rel.FrameMagicPlain, 1, 0})
+	f.Add([]byte{core.FrameMagicTagged})
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -93,14 +97,14 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// (Byte-for-byte canonicality is NOT asserted — binary.Uvarint
 		// accepts non-minimal varints the encoder never emits.)
 		schema := rel.SchemaOf("A", "B")
-		if b, err := decodeRelFrame(in, schema); err == nil {
-			if _, err := decodeRelFrame(appendRelFrame(nil, b), schema); err != nil {
+		if b, err := rel.DecodeFrame(in, schema); err == nil {
+			if _, err := rel.DecodeFrame(rel.AppendFrame(nil, b), schema); err != nil {
 				t.Fatalf("rel frame re-round-trip: %v", err)
 			}
 		}
 		attrs := []core.Attr{{Name: "A"}}
-		if b, err := decodeCoreFrame(in, "F", attrs, sourceset.NewRegistry()); err == nil {
-			if _, err := decodeCoreFrame(appendCoreFrame(nil, b), "F", attrs, sourceset.NewRegistry()); err != nil {
+		if b, err := core.DecodeFrame(in, "F", attrs, sourceset.NewRegistry()); err == nil {
+			if _, err := core.DecodeFrame(core.AppendFrame(nil, b), "F", attrs, sourceset.NewRegistry()); err != nil {
 				t.Fatalf("core frame re-round-trip: %v", err)
 			}
 		}
@@ -132,7 +136,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			cb.AppendTuple(crow)
 		}
 
-		gotRel, err := decodeRelFrame(appendRelFrame(nil, rb), rb.Schema())
+		gotRel, err := rel.DecodeFrame(rel.AppendFrame(nil, rb), rb.Schema())
 		if err != nil {
 			t.Fatalf("rel round trip: %v", err)
 		}
@@ -147,7 +151,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 		}
 
-		gotCore, err := decodeCoreFrame(appendCoreFrame(nil, cb), "F", cattrs, sourceset.NewRegistry())
+		gotCore, err := core.DecodeFrame(core.AppendFrame(nil, cb), "F", cattrs, sourceset.NewRegistry())
 		if err != nil {
 			t.Fatalf("core round trip: %v", err)
 		}
@@ -156,5 +160,73 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("core round trip diverged:\ngot:\n%s\nwant:\n%s",
 				strings.Join(have, "\n"), strings.Join(want, "\n"))
 		}
+	})
+}
+
+// fuzzDB is the small database FuzzRequestEnvelope's server answers over: a
+// keyed relation and a keyless one, with NULL and NaN data.
+func fuzzDB() *catalog.Database {
+	db := catalog.NewDatabase("FZ")
+	db.MustCreate("T", rel.SchemaOf("K", "C", "V"), "K")
+	db.MustCreate("U", rel.SchemaOf("A", "B"))
+	if err := db.Insert("T",
+		rel.Tuple{rel.Int(1), rel.String("a"), rel.Float(math.NaN())},
+		rel.Tuple{rel.Int(2), rel.String("b"), rel.Null()},
+		rel.Tuple{rel.Int(3), rel.Null(), rel.Int(6)},
+	); err != nil {
+		panic(err)
+	}
+	if err := db.Insert("U", rel.Tuple{rel.String("x"), rel.Bool(true)}); err != nil {
+		panic(err)
+	}
+	return db
+}
+
+// FuzzRequestEnvelope fuzzes the one gob decoder that reads outside input
+// from every client: the request envelope a server decodes off each
+// connection. Arbitrary bytes are decoded as a request; whatever decodes is
+// answered through Server.handle over fuzzDB. No input may panic.
+func FuzzRequestEnvelope(f *testing.F) {
+	for _, req := range []request{
+		{Kind: "name"},
+		{Kind: "ping"},
+		{Kind: "relations"},
+		{Kind: "stats"},
+		{Kind: "execute", Op: lqp.Retrieve("T")},
+		{Kind: "execute", Op: lqp.Select("T", "C", rel.ThetaEQ, rel.String("b"))},
+		{Kind: "execute", Op: lqp.Restrict("T", "K", rel.ThetaLT, "V")},
+		{Kind: "execute", Op: lqp.Project("U", "B")},
+		{Kind: "execplan", Plan: lqp.PlanOf(lqp.Retrieve("T"), lqp.Select("T", "V", rel.ThetaGE, rel.Int(2)), lqp.Project("T", "C"))},
+		{Kind: "insert", Op: lqp.Op{Relation: "T"}, Tuples: []rel.Tuple{{rel.Int(9), rel.String("c"), rel.Float(-0.5)}}},
+		{Kind: "insert", Op: lqp.Op{Relation: "U"}, Tuples: []rel.Tuple{{rel.Null()}}},
+		// Malformed operations the client would never send.
+		{Kind: "execute", Op: lqp.Op{Kind: 99, Relation: "T"}},
+		{Kind: "execute", Op: lqp.Select("T", "K", rel.Theta(200), rel.Int(1))},
+		{Kind: "execute", Op: lqp.Restrict("T", "K", rel.ThetaEQ, "NOPE")},
+		{Kind: "execute", Op: lqp.Project("T")},
+		{Kind: "execute", Op: lqp.Project("T", "C", "C")},
+		{Kind: "execute", Op: lqp.Retrieve("NOPE")},
+		{Kind: "execplan"},
+		{Kind: "execplan", Plan: lqp.PlanOf(lqp.Retrieve("T"), lqp.Retrieve("U"), lqp.Op{Kind: 7})},
+		{Kind: "execplan", Plan: lqp.PlanOf(lqp.Project("T"), lqp.Select("T", "K", rel.Theta(9), rel.Null()))},
+		{Kind: "insert", Op: lqp.Op{Relation: "T"}, Tuples: []rel.Tuple{{rel.Int(1), rel.Null(), rel.Null()}}},
+		{Kind: "insert", Op: lqp.Op{Relation: "NOPE"}, Tuples: []rel.Tuple{nil}},
+		{Kind: "session", Policy: "partial"},
+		{Kind: "query", Session: "s", Text: "T", Algebraic: true},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(req); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var req request
+		if err := gob.NewDecoder(bytes.NewReader(in)).Decode(&req); err != nil {
+			return
+		}
+		NewServer(fuzzDB()).handle(req)
 	})
 }

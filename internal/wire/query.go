@@ -9,22 +9,20 @@ package wire
 // tagged row-batch frames on a pooled connection, reusing the frame
 // protocol and connection handling of the LQP streams.
 //
-// Source tags travel as per-message directories: every tagged relation or
-// frame carries the list of source names its cells reference, and cells
-// store small indexes into it. The client re-interns the names into its own
-// sourceset.Registry, so tag identity survives the wire without the client
-// and server sharing registry IDs.
+// Tagged rows travel as core/codec.go frames, one per materialized answer
+// or stream batch. Each frame carries the source names its tag sets
+// reference; the client re-interns them into its own sourceset.Registry, so
+// tag identity survives the wire without the client and server sharing
+// registry IDs.
 
 import (
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 
 	"repro/internal/core"
 	"repro/internal/federation"
-	"repro/internal/rel"
 	"repro/internal/sourceset"
 )
 
@@ -144,143 +142,11 @@ func SchemeInfos(schema *core.Schema) []SchemeInfo {
 	return infos
 }
 
-// flatPoly is the wire form of core.Relation: attributes as-is (the Attr
-// struct is flat and exported), cells flattened into datum plus tag-index
-// lists, and a directory mapping those indexes to source names. In a stream
-// header Tuples and Sources are empty; tagged rows follow in frames, each
-// frame carrying its own directory.
+// flatPoly is the wire schema of a source-tagged relation; its rows travel
+// as tagged frames.
 type flatPoly struct {
-	Name    string
-	Attrs   []core.Attr
-	Sources []string
-	Tuples  []flatTuple
-}
-
-// flatTuple is one tagged row.
-type flatTuple []flatCell
-
-// flatCell is one polygen cell: the datum and the origin/intermediate tag
-// sets as indexes into the enclosing message's Sources directory.
-type flatCell struct {
-	D rel.Value
-	O []int32
-	I []int32
-}
-
-// tagEncoder flattens sourceset.Sets of one message, building the Sources
-// directory as it goes.
-type tagEncoder struct {
-	reg   *sourceset.Registry
-	index map[sourceset.ID]int32
-	names []string
-}
-
-func newTagEncoder(reg *sourceset.Registry) *tagEncoder {
-	return &tagEncoder{reg: reg, index: make(map[sourceset.ID]int32)}
-}
-
-func (e *tagEncoder) set(s sourceset.Set) []int32 {
-	if s.IsEmpty() {
-		return nil
-	}
-	ids := s.IDs()
-	out := make([]int32, len(ids))
-	for i, id := range ids {
-		wi, ok := e.index[id]
-		if !ok {
-			wi = int32(len(e.names))
-			e.index[id] = wi
-			e.names = append(e.names, e.reg.Name(id))
-		}
-		out[i] = wi
-	}
-	return out
-}
-
-// flattenBatch flattens one batch of tagged rows with a per-batch source
-// directory.
-func flattenBatch(batch []core.Tuple, reg *sourceset.Registry) ([]flatTuple, []string) {
-	enc := newTagEncoder(reg)
-	tuples := make([]flatTuple, len(batch))
-	for bi, t := range batch {
-		row := make(flatTuple, len(t))
-		for i, c := range t {
-			row[i] = flatCell{D: c.D, O: enc.set(c.O), I: enc.set(c.I)}
-		}
-		tuples[bi] = row
-	}
-	return tuples, enc.names
-}
-
-func flattenPoly(p *core.Relation) flatPoly {
-	tuples, sources := flattenBatch(p.Tuples, p.Reg)
-	return flatPoly{
-		Name:    p.Name,
-		Attrs:   append([]core.Attr(nil), p.Attrs...),
-		Sources: sources,
-		Tuples:  tuples,
-	}
-}
-
-// tagDecoder rebuilds sourceset.Sets from one message's directory,
-// re-interning the source names into the receiver's registry.
-type tagDecoder struct {
-	ids []sourceset.ID
-}
-
-func newTagDecoder(reg *sourceset.Registry, sources []string) *tagDecoder {
-	d := &tagDecoder{ids: make([]sourceset.ID, len(sources))}
-	for i, name := range sources {
-		d.ids[i] = reg.Intern(name)
-	}
-	return d
-}
-
-func (d *tagDecoder) set(idx []int32) (sourceset.Set, error) {
-	var s sourceset.Set
-	for _, wi := range idx {
-		if wi < 0 || int(wi) >= len(d.ids) {
-			return s, fmt.Errorf("wire: tag index %d outside source directory (%d entries)", wi, len(d.ids))
-		}
-		s = s.With(d.ids[wi])
-	}
-	return s, nil
-}
-
-// unflattenBatch rebuilds one batch of tagged rows into out's attribute
-// space, appending nothing — rows are returned for the caller to use.
-func unflattenBatch(tuples []flatTuple, sources []string, reg *sourceset.Registry, width int) ([]core.Tuple, error) {
-	dec := newTagDecoder(reg, sources)
-	rows := make([]core.Tuple, len(tuples))
-	for bi, ft := range tuples {
-		if len(ft) != width {
-			return nil, fmt.Errorf("wire: tagged tuple degree %d does not match schema width %d", len(ft), width)
-		}
-		row := make(core.Tuple, len(ft))
-		for i, fc := range ft {
-			o, err := dec.set(fc.O)
-			if err != nil {
-				return nil, err
-			}
-			in, err := dec.set(fc.I)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = core.Cell{D: fc.D, O: o, I: in}
-		}
-		rows[bi] = row
-	}
-	return rows, nil
-}
-
-func unflattenPoly(f flatPoly, reg *sourceset.Registry) (*core.Relation, error) {
-	p := core.NewRelation(f.Name, reg, f.Attrs...)
-	rows, err := unflattenBatch(f.Tuples, f.Sources, reg, len(f.Attrs))
-	if err != nil {
-		return nil, err
-	}
-	p.Tuples = rows
-	return p, nil
+	Name  string
+	Attrs []core.Attr
 }
 
 // handleMediator serves the round-trip mediator kinds ("session",
@@ -306,7 +172,15 @@ func (s *Server) handleMediator(req request) response {
 		if err != nil {
 			return response{Err: err.Error()}
 		}
-		return response{Poly: flattenPoly(ans.Relation), HasPoly: true, PlanRows: ans.PlanRows, CacheHit: ans.CacheHit, Diag: ans.Diag}
+		p := ans.Relation
+		return response{
+			Poly:     flatPoly{Name: p.Name, Attrs: p.Attrs},
+			HasPoly:  true,
+			Bin:      core.AppendFrame(nil, core.FromRelation(p)),
+			PlanRows: ans.PlanRows,
+			CacheHit: ans.CacheHit,
+			Diag:     ans.Diag,
+		}
 	default:
 		return response{Err: fmt.Sprintf("wire: unknown mediator request kind %q", req.Kind)}
 	}
@@ -325,37 +199,14 @@ func (s *Server) serveQueryStream(conn net.Conn, enc *gob.Encoder, req request) 
 		return s.send(conn, enc, response{Err: err.Error()})
 	}
 	defer ms.Cursor.Close()
-	binary := s.useBinary(req)
 	header := response{Poly: flatPoly{Name: ms.Cursor.Name(), Attrs: ms.Cursor.Attrs()}, HasPoly: true, PlanRows: ms.PlanRows, CacheHit: ms.CacheHit}
-	if binary {
-		header.Codec = codecBinary
-	}
 	if err := s.send(conn, enc, header); err != nil {
 		return err
 	}
-	reg := ms.Cursor.Registry()
 	cc, _ := ms.Cursor.(core.ColCursor)
 	var buf []byte
 	for {
-		if binary {
-			cb, err := nextCoreColBatch(ms.Cursor, cc)
-			if err == io.EOF {
-				done := frame{Done: true}
-				if ms.Diag != nil {
-					done.Diag = ms.Diag()
-				}
-				return s.send(conn, enc, done)
-			}
-			if err != nil {
-				return s.send(conn, enc, frame{Err: err.Error()})
-			}
-			buf = appendCoreFrame(buf[:0], cb)
-			if err := s.send(conn, enc, frame{Bin: buf}); err != nil {
-				return err
-			}
-			continue
-		}
-		batch, err := ms.Cursor.Next()
+		cb, err := nextCoreColBatch(ms.Cursor, cc)
 		if err == io.EOF {
 			done := frame{Done: true}
 			if ms.Diag != nil {
@@ -366,8 +217,8 @@ func (s *Server) serveQueryStream(conn net.Conn, enc *gob.Encoder, req request) 
 		if err != nil {
 			return s.send(conn, enc, frame{Err: err.Error()})
 		}
-		tuples, sources := flattenBatch(batch, reg)
-		if err := s.send(conn, enc, frame{Poly: tuples, Sources: sources}); err != nil {
+		buf = core.AppendFrame(buf[:0], cb)
+		if err := s.send(conn, enc, frame{Bin: buf}); err != nil {
 			return err
 		}
 	}
@@ -445,11 +296,11 @@ func (c *Client) Query(session, text string, algebraic bool) (*QueryAnswer, erro
 	if !resp.HasPoly {
 		return nil, fmt.Errorf("wire: query response carried no relation")
 	}
-	p, err := unflattenPoly(resp.Poly, c.Reg)
+	cb, err := core.DecodeFrame(resp.Bin, resp.Poly.Name, resp.Poly.Attrs, c.Reg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wire: decode query answer from %s: %w", c.addr, err)
 	}
-	return &QueryAnswer{Relation: p, PlanRows: resp.PlanRows, CacheHit: resp.CacheHit, Diag: resp.Diag}, nil
+	return &QueryAnswer{Relation: cb.Relation(), PlanRows: resp.PlanRows, CacheHit: resp.CacheHit, Diag: resp.Diag}, nil
 }
 
 // Diagnosed is the capability of streamed answers whose final frame
@@ -466,7 +317,7 @@ type Diagnosed interface {
 // caller owns the cursor and must Close it; Client.Close aborts it with the
 // rest.
 func (c *Client) OpenQuery(session, text string, algebraic bool) (core.Cursor, *QueryAnswer, error) {
-	cc, resp, err := c.startStream(request{Kind: "queryopen", Session: session, Text: text, Algebraic: algebraic, Codec: c.streamCodec()})
+	cc, resp, err := c.startStream(request{Kind: "queryopen", Session: session, Text: text, Algebraic: algebraic})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -483,88 +334,48 @@ func (c *Client) OpenQuery(session, text string, algebraic bool) (core.Cursor, *
 }
 
 // polyStreamCursor decodes the tagged frames of one "queryopen" stream into
-// core.Cursor batches. It is a core.ColCursor: on a binary-codec stream
-// each frame maps onto column vectors plus a per-frame tag-set dictionary
-// with O(columns + distinct sets) allocations; on a gob stream the flat
-// cells are decoded as before.
+// core.Cursor batches. It is a core.ColCursor: each frame maps onto column
+// vectors plus a per-frame tag-set dictionary with O(columns + distinct
+// sets) allocations, and Next is the batch's cached row view.
 type polyStreamCursor struct {
 	stream
-	name    string
-	attrs   []core.Attr
-	diag    federation.Report
-	hasDiag bool
+	name  string
+	attrs []core.Attr
 }
 
 // Diagnostics returns the fault-handling record shipped on the stream's
 // Done frame; ok is false until the stream has drained to io.EOF.
 func (pc *polyStreamCursor) Diagnostics() (federation.Report, bool) {
-	return pc.diag, pc.hasDiag
+	return pc.diag, pc.drained
 }
 
 func (pc *polyStreamCursor) Name() string                  { return pc.name }
 func (pc *polyStreamCursor) Attrs() []core.Attr            { return pc.attrs }
 func (pc *polyStreamCursor) Registry() *sourceset.Registry { return pc.client.Reg }
 
-// nextFrame decodes frames until a batch arrives, in whichever framing the
-// stream uses: exactly one of the returned batch forms is non-empty.
-func (pc *polyStreamCursor) nextFrame() ([]core.Tuple, *core.ColBatch, error) {
-	for {
-		f, err := pc.next()
-		if err != nil {
-			return nil, nil, err
-		}
-		switch {
-		case f.Err != "":
-			return nil, nil, errors.New(f.Err)
-		case f.Done:
-			pc.diag = f.Diag
-			pc.hasDiag = true
-			return nil, nil, io.EOF
-		case len(f.Bin) > 0:
-			cb, err := decodeCoreFrame(f.Bin, pc.name, pc.attrs, pc.client.Reg)
-			if err != nil {
-				pc.end(true)
-				return nil, nil, fmt.Errorf("wire: decode frame from %s: %w", pc.client.addr, err)
-			}
-			if cb.Len() == 0 {
-				continue
-			}
-			return nil, cb, nil
-		case len(f.Poly) > 0:
-			batch, err := unflattenBatch(f.Poly, f.Sources, pc.client.Reg, len(pc.attrs))
-			if err != nil {
-				pc.end(true)
-				return nil, nil, err
-			}
-			return batch, nil, nil
-		}
-	}
-}
-
 func (pc *polyStreamCursor) Next() ([]core.Tuple, error) {
-	batch, cb, err := pc.nextFrame()
+	cb, err := pc.NextCol()
 	if err != nil {
 		return nil, err
 	}
-	if cb != nil {
-		return cb.Rows(), nil
-	}
-	return batch, nil
+	return cb.Rows(), nil
 }
 
-// NextCol implements core.ColCursor.
+// NextCol implements core.ColCursor, skipping empty frames.
 func (pc *polyStreamCursor) NextCol() (*core.ColBatch, error) {
-	batch, cb, err := pc.nextFrame()
-	if err != nil {
-		return nil, err
-	}
-	if cb == nil {
-		cb = core.NewColBatch(pc.name, pc.client.Reg, pc.attrs)
-		for _, t := range batch {
-			cb.AppendTuple(t)
+	for {
+		payload, err := pc.next()
+		if err != nil {
+			return nil, err
+		}
+		cb, err := core.DecodeFrame(payload, pc.name, pc.attrs, pc.client.Reg)
+		if err != nil {
+			return nil, pc.badFrame(err)
+		}
+		if cb.Len() > 0 {
+			return cb, nil
 		}
 	}
-	return cb, nil
 }
 
 var _ core.ColCursor = (*polyStreamCursor)(nil)

@@ -3,13 +3,13 @@
 // (paper, Figure 1: the PQP "routes [local queries] to the Local Query
 // Processors"), and between thin clients and a mediator service wrapping a
 // whole PQP (query.go — the paper's §V System P made networkable). Both are
-// gob-encoded messages over TCP in two shapes:
+// gob-encoded envelopes over TCP in two shapes:
 //
 //   - request/response: one request carries one lqp.Op, one pushed-down
-//     lqp.Plan, a metadata query ("name", "relations", "stats"), or — on a
-//     mediator server — a whole polygen query; one response carries the
-//     materialized relation (plain or source-tagged), the statistics, or an
-//     error.
+//     lqp.Plan, a metadata query ("name", "relations", "stats"), insert
+//     rows, or — on a mediator server — a whole polygen query; one response
+//     carries the materialized relation (plain or source-tagged), the
+//     statistics, or an error.
 //   - streaming: an "open"/"openplan" (or mediator "queryopen") request is
 //     answered by a schema header followed by row-batch frames and a final
 //     done frame, on a pooled connection the stream holds until it ends.
@@ -17,6 +17,12 @@
 //     remote retrieval overlaps with client-side work; a pushed-down plan
 //     evaluates entirely server-side, so only the filtered, narrowed rows
 //     are framed at all.
+//
+// Rows cross the wire in one encoding only: the binary columnar frame of
+// rel/codec.go (plain rows) and core/codec.go (source-tagged rows), carried
+// as an opaque byte slice inside the gob envelope — one frame per stream
+// batch, one frame for a whole materialized answer. Gob itself carries only
+// the envelopes and the rows of an "insert" request.
 //
 // Both directions guard against stalled peers: the client sets read/write
 // deadlines around every exchange and every frame, the server sets write
@@ -94,11 +100,6 @@ type request struct {
 	// Policy is the degradation policy a "session" request asks for
 	// ("", "fail" or "partial"); the mediator's default applies when empty.
 	Policy string
-	// Codec asks for a frame codec on stream kinds ("bin" for the binary
-	// columnar codec of codec.go; empty for gob row frames). A server that
-	// does not understand the field — or refuses the codec — streams gob
-	// frames, and says so by omitting Codec from the stream header response.
-	Codec string
 }
 
 // response is one server→client message.
@@ -106,16 +107,22 @@ type response struct {
 	Err       string
 	Name      string
 	Relations []string
-	Relation  flatRelation
-	HasRel    bool
+	// Relation is the schema of a plain answer ("execute", "execplan") or
+	// of an "open"/"openplan" stream header.
+	Relation flatRelation
+	HasRel   bool
 	// Stats carries the per-relation statistics for Kind == "stats".
 	Stats []lqp.RelationStats
 	// Session / Schemes answer a "session" request (query.go).
 	Session SessionInfo
-	// Poly carries a source-tagged result for Kind == "query", or the
-	// schema header of a "queryopen" stream.
+	// Poly is the schema of a source-tagged answer ("query") or of a
+	// "queryopen" stream header.
 	Poly    flatPoly
 	HasPoly bool
+	// Bin carries the rows of a materialized answer as one frame: plain
+	// for "execute"/"execplan", tagged for "query". Stream headers leave it
+	// empty; their rows follow in frames.
+	Bin []byte
 	// PlanRows is the executed (optimized) plan, one row per line, for
 	// mediator queries.
 	PlanRows []string
@@ -125,55 +132,54 @@ type response struct {
 	// used, and — under the partial degradation policy — the sources the
 	// answer is missing) for mediator "query" answers.
 	Diag federation.Report
-	// Codec, on a stream header, confirms the frame codec the server will
-	// use ("bin"); empty means gob row frames follow (the server is old or
-	// refused the requested codec).
-	Codec string
 }
 
 // frame is one row batch of a streamed result. A stream is a response
-// carrying the schema followed by frames until Done or Err. Tuples carries
-// plain rows ("open"/"openplan"); Poly carries source-tagged rows
-// ("queryopen"), each frame with its own source-name directory (query.go).
+// carrying the schema followed by frames until Done or Err.
 type frame struct {
-	Err    string
-	Done   bool
-	Tuples []rel.Tuple
-	// Poly / Sources carry one tagged batch (see flatPoly).
-	Poly    []flatTuple
-	Sources []string
+	Err  string
+	Done bool
 	// Diag rides the Done frame of a "queryopen" stream: the query's final
 	// fault-handling record, complete only once the answer has fully
 	// streamed (mid-stream failovers count into it).
 	Diag federation.Report
-	// Bin carries one binary columnar frame (codec.go) when the stream
-	// negotiated the "bin" codec; Tuples and Poly stay empty then. The
-	// payload travels as one opaque byte slice inside the gob envelope
-	// because a gob decoder reads ahead and cannot share the connection
-	// with raw interleaved bytes.
+	// Bin carries one batch as a binary columnar frame: plain
+	// ("open"/"openplan") or source-tagged ("queryopen"). The payload
+	// travels as one opaque byte slice inside the gob envelope because a
+	// gob decoder reads ahead and cannot share the connection with raw
+	// interleaved bytes.
 	Bin []byte
 }
 
-// flatRelation is the wire form of rel.Relation: schema flattened into the
-// exported Attr structs, values relying on rel.Value's gob encoding. In a
-// stream header Tuples is empty; the rows follow in frames.
+// flatRelation is the wire schema of a plain relation; its rows travel as
+// frames.
 type flatRelation struct {
 	Name  string
 	Attrs []rel.Attr
-	// Tuples encodes identically to the [][]rel.Value it once was —
-	// rel.Tuple is []rel.Value — but needs no element-copy loop on either
-	// side: flatten shares the relation's tuple slice as-is.
-	Tuples []rel.Tuple
 }
 
-func flatten(r *rel.Relation) flatRelation {
-	return flatRelation{Name: r.Name, Attrs: r.Schema.Attrs(), Tuples: r.Tuples}
+// relResponse answers with a materialized plain relation: the schema in the
+// header, every row in one plain frame.
+func relResponse(r *rel.Relation) response {
+	return response{
+		Relation: flatRelation{Name: r.Name, Attrs: r.Schema.Attrs()},
+		HasRel:   true,
+		Bin:      rel.AppendFrame(nil, rel.FromTuples(r.Schema, r.Tuples)),
+	}
 }
 
-func (f flatRelation) unflatten() *rel.Relation {
-	r := rel.NewRelation(f.Name, rel.NewSchema(f.Attrs...))
-	r.Tuples = f.Tuples
-	return r
+// relation rebuilds the materialized plain answer of resp.
+func (c *Client) relation(resp response, kind string) (*rel.Relation, error) {
+	if !resp.HasRel {
+		return nil, fmt.Errorf("wire: %s response carried no relation", kind)
+	}
+	r := rel.NewRelation(resp.Relation.Name, rel.NewSchema(resp.Relation.Attrs...))
+	cb, err := rel.DecodeFrame(resp.Bin, r.Schema)
+	if err != nil {
+		return nil, fmt.Errorf("wire: decode %s answer from %s: %w", kind, c.addr, err)
+	}
+	r.Tuples = cb.Rows()
+	return r, nil
 }
 
 // LocalLQP is the full-capability LQP a Server serves: the base interface
@@ -199,12 +205,6 @@ type Server struct {
 	// served — the fault-injection harness uses it to cut, stall or delay
 	// the transport mid-exchange (faultinject.FlakyConn). Set before Listen.
 	ConnHook func(net.Conn) net.Conn
-
-	// LegacyFrames refuses the binary frame codec: every stream falls back
-	// to gob row frames regardless of what clients request. An escape hatch
-	// (the daemons' -legacy-frames flag) for debugging and for proving the
-	// two framings byte-for-answer identical.
-	LegacyFrames bool
 
 	// WriteTimeout bounds every response or frame write (defaults to
 	// DefaultTimeout); a client that stops reading gets its connection
@@ -349,7 +349,7 @@ func (s *Server) dispatch(conn net.Conn, enc *gob.Encoder, req request) error {
 			cur, err := s.local.Open(req.Op)
 			return cur, req.Op.Relation, err
 		}
-		return s.serveStream(conn, enc, open, s.useBinary(req))
+		return s.serveStream(conn, enc, open)
 	case "queryopen":
 		return s.serveQueryStream(conn, enc, req)
 	default:
@@ -367,32 +367,23 @@ func (s *Server) send(conn net.Conn, enc *gob.Encoder, msg any) error {
 	return enc.Encode(msg)
 }
 
-// useBinary decides a stream's frame codec: binary when the client asked
-// for it and the server allows it.
-func (s *Server) useBinary(req request) bool {
-	return req.Codec == codecBinary && !s.LegacyFrames
-}
-
 // serveStream answers one "open"/"openplan" request: a schema header
 // response, then row-batch frames, then a done frame. A local-operation
 // error before any row is reported in the header; one mid-stream is
 // reported in an error frame. The returned error is non-nil only for
 // transport failures.
 //
-// With the binary codec negotiated, each batch ships as one columnar
-// payload: cursors with the columnar capability (rel.ColCursor) hand their
-// batches over as-is, others are columnarized per batch; the encode buffer
-// is reused across frames (gob copies the bytes into the envelope).
-func (s *Server) serveStream(conn net.Conn, enc *gob.Encoder, open func() (rel.Cursor, string, error), binary bool) error {
+// Each batch ships as one columnar frame: cursors with the columnar
+// capability (rel.ColCursor) hand their batches over as-is, others are
+// columnarized per batch; the encode buffer is reused across frames (gob
+// copies the bytes into the envelope).
+func (s *Server) serveStream(conn net.Conn, enc *gob.Encoder, open func() (rel.Cursor, string, error)) error {
 	cur, name, err := open()
 	if err != nil {
 		return s.send(conn, enc, response{Err: err.Error()})
 	}
 	defer cur.Close()
 	header := response{Relation: flatRelation{Name: name, Attrs: cur.Schema().Attrs()}, HasRel: true}
-	if binary {
-		header.Codec = codecBinary
-	}
 	if err := s.send(conn, enc, header); err != nil {
 		return err
 	}
@@ -400,28 +391,15 @@ func (s *Server) serveStream(conn net.Conn, enc *gob.Encoder, open func() (rel.C
 	cc, _ := cur.(rel.ColCursor)
 	var buf []byte
 	for {
-		if binary {
-			cb, err := nextRelColBatch(cur, cc, schema)
-			if err == io.EOF {
-				return s.send(conn, enc, frame{Done: true})
-			}
-			if err != nil {
-				return s.send(conn, enc, frame{Err: err.Error()})
-			}
-			buf = appendRelFrame(buf[:0], cb)
-			if err := s.send(conn, enc, frame{Bin: buf}); err != nil {
-				return err
-			}
-			continue
-		}
-		batch, err := cur.Next()
+		cb, err := nextRelColBatch(cur, cc, schema)
 		if err == io.EOF {
 			return s.send(conn, enc, frame{Done: true})
 		}
 		if err != nil {
 			return s.send(conn, enc, frame{Err: err.Error()})
 		}
-		if err := s.send(conn, enc, frame{Tuples: batch}); err != nil {
+		buf = rel.AppendFrame(buf[:0], cb)
+		if err := s.send(conn, enc, frame{Bin: buf}); err != nil {
 			return err
 		}
 	}
@@ -465,13 +443,13 @@ func (s *Server) handle(req request) response {
 		if err != nil {
 			return response{Err: err.Error()}
 		}
-		return response{Relation: flatten(r), HasRel: true}
+		return relResponse(r)
 	case "execplan":
 		r, err := s.local.ExecutePlan(req.Plan)
 		if err != nil {
 			return response{Err: err.Error()}
 		}
-		return response{Relation: flatten(r), HasRel: true}
+		return relResponse(r)
 	case "stats":
 		st, err := s.local.Stats()
 		if err != nil {
@@ -579,11 +557,6 @@ type Client struct {
 	// a fresh registry; replace it (before first use) to share one registry
 	// across clients.
 	Reg *sourceset.Registry
-	// LegacyFrames stops the client from requesting the binary frame codec:
-	// streams carry gob row frames, as pre-codec clients sent them. Set it
-	// before opening streams; the negotiation is per stream, so old servers
-	// fall back to gob automatically even when this is false.
-	LegacyFrames bool
 
 	addr     string
 	name     string
@@ -868,10 +841,7 @@ func (c *Client) Execute(op lqp.Op) (*rel.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !resp.HasRel {
-		return nil, fmt.Errorf("wire: execute response carried no relation")
-	}
-	return resp.Relation.unflatten(), nil
+	return c.relation(resp, "execute")
 }
 
 // ExecutePlan implements lqp.PlanRunner: the whole pushed-down subplan
@@ -884,10 +854,7 @@ func (c *Client) ExecutePlan(p lqp.Plan) (*rel.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !resp.HasRel {
-		return nil, fmt.Errorf("wire: execplan response carried no relation")
-	}
-	return resp.Relation.unflatten(), nil
+	return c.relation(resp, "execplan")
 }
 
 // Insert implements lqp.Inserter over the wire: a nil return means the
@@ -969,16 +936,7 @@ func (c *Client) startStreamOnce(req request) (*clientConn, response, bool, erro
 	return cc, resp, reused, nil
 }
 
-// streamCodec is the frame codec a client requests for its streams.
-func (c *Client) streamCodec() string {
-	if c.LegacyFrames {
-		return ""
-	}
-	return codecBinary
-}
-
 func (c *Client) openStream(req request) (rel.Cursor, error) {
-	req.Codec = c.streamCodec()
 	cc, resp, err := c.startStream(req)
 	if err != nil {
 		return nil, err
@@ -999,24 +957,42 @@ func (c *Client) openStream(req request) (rel.Cursor, error) {
 type stream struct {
 	client *Client
 	cc     *clientConn // nil once the stream is over
+	// diag / drained record the Done frame's fault-handling record.
+	diag    federation.Report
+	drained bool
 }
 
-// next decodes the next frame. Any error ends the stream and retires the
-// connection (the gob stream is unusable); a nil cc means it already ended.
-func (st *stream) next() (frame, error) {
-	var f frame
+// next decodes the next frame and returns its batch payload: io.EOF after
+// the Done frame, the server's error after an Err frame. A receive failure
+// ends the stream and retires the connection (the gob stream is unusable);
+// a nil cc means the stream already ended.
+func (st *stream) next() ([]byte, error) {
 	if st.cc == nil {
-		return f, io.EOF
+		return nil, io.EOF
 	}
+	var f frame
 	st.cc.conn.SetReadDeadline(time.Now().Add(st.client.timeout()))
 	if err := st.cc.dec.Decode(&f); err != nil {
 		st.end(true)
-		return f, fmt.Errorf("wire: receive frame from %s: %w", st.client.addr, err)
+		return nil, fmt.Errorf("wire: receive frame from %s: %w", st.client.addr, err)
 	}
-	if f.Done || f.Err != "" {
+	switch {
+	case f.Err != "":
 		st.end(false)
+		return nil, errors.New(f.Err)
+	case f.Done:
+		st.end(false)
+		st.diag, st.drained = f.Diag, true
+		return nil, io.EOF
 	}
-	return f, nil
+	return f.Bin, nil
+}
+
+// badFrame ends the stream on a frame that failed to decode, retiring the
+// connection, and wraps the decode error.
+func (st *stream) badFrame(err error) error {
+	st.end(true)
+	return fmt.Errorf("wire: decode frame from %s: %w", st.client.addr, err)
 }
 
 // end hands the connection back (broken: retire it) unless already ended.
@@ -1035,10 +1011,8 @@ func (st *stream) Close() error {
 }
 
 // streamCursor decodes the frames of one streamed result. It is a
-// rel.ColCursor: on a binary-codec stream NextCol maps each frame onto
-// column vectors with O(columns) allocations and Next is the batch's cached
-// row view; on a gob stream Next returns the decoded rows as before and
-// NextCol columnarizes them.
+// rel.ColCursor: NextCol maps each frame onto column vectors with
+// O(columns) allocations, and Next is the batch's cached row view.
 type streamCursor struct {
 	stream
 	schema *rel.Schema
@@ -1046,56 +1020,29 @@ type streamCursor struct {
 
 func (sc *streamCursor) Schema() *rel.Schema { return sc.schema }
 
-// nextFrame decodes frames until a batch arrives, in whichever framing the
-// stream uses: exactly one of the returned batch forms is non-empty.
-func (sc *streamCursor) nextFrame() ([]rel.Tuple, *rel.ColBatch, error) {
-	for {
-		f, err := sc.next()
-		if err != nil {
-			return nil, nil, err
-		}
-		switch {
-		case f.Err != "":
-			return nil, nil, errors.New(f.Err)
-		case f.Done:
-			return nil, nil, io.EOF
-		case len(f.Bin) > 0:
-			cb, err := decodeRelFrame(f.Bin, sc.schema)
-			if err != nil {
-				sc.end(true)
-				return nil, nil, fmt.Errorf("wire: decode frame from %s: %w", sc.client.addr, err)
-			}
-			if cb.Len() == 0 {
-				continue
-			}
-			return nil, cb, nil
-		case len(f.Tuples) > 0:
-			return f.Tuples, nil, nil
-		}
-	}
-}
-
 func (sc *streamCursor) Next() ([]rel.Tuple, error) {
-	batch, cb, err := sc.nextFrame()
+	cb, err := sc.NextCol()
 	if err != nil {
 		return nil, err
 	}
-	if cb != nil {
-		return cb.Rows(), nil
-	}
-	return batch, nil
+	return cb.Rows(), nil
 }
 
-// NextCol implements rel.ColCursor.
+// NextCol implements rel.ColCursor, skipping empty frames.
 func (sc *streamCursor) NextCol() (*rel.ColBatch, error) {
-	batch, cb, err := sc.nextFrame()
-	if err != nil {
-		return nil, err
+	for {
+		payload, err := sc.next()
+		if err != nil {
+			return nil, err
+		}
+		cb, err := rel.DecodeFrame(payload, sc.schema)
+		if err != nil {
+			return nil, sc.badFrame(err)
+		}
+		if cb.Len() > 0 {
+			return cb, nil
+		}
 	}
-	if cb == nil {
-		cb = rel.FromTuples(sc.schema, batch)
-	}
-	return cb, nil
 }
 
 // Close tears down the pool and every in-flight stream. Round trips and
