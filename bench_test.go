@@ -609,45 +609,6 @@ func BenchmarkWireRetrieve(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// B-PAR: parallel plan execution over latency-injected LQPs. The Merge's
-// Retrieve fan-out overlaps under ExecuteParallel; with ~2ms per local
-// operation the parallel plan approaches one round trip where the serial
-// plan pays one per retrieve.
-func BenchmarkParallelExecution(b *testing.B) {
-	const latency = 2 * time.Millisecond
-	fed := paperdata.New()
-	mk := func() *pqp.PQP {
-		lqps := make(map[string]lqp.LQP, 3)
-		for name, l := range fed.LQPs() {
-			c := lqp.NewCounting(l)
-			c.Latency = latency
-			lqps[name] = c
-		}
-		return pqp.New(fed.Schema, fed.Registry, identity.CaseFold{}, lqps)
-	}
-	e, err := translate.CompileSQL(`SELECT ONAME FROM PORGANIZATION WHERE INDUSTRY = "Banking"`, fed.Schema)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("serial", func(b *testing.B) {
-		q := mk()
-		for i := 0; i < b.N; i++ {
-			if _, err := q.Run(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		q := mk()
-		for i := 0; i < b.N; i++ {
-			if _, err := q.RunParallel(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// ---------------------------------------------------------------------------
 // B-PAR (intra-operator): morsel-driven partitioned hash operators. The
 // fixture is the B-KEY input (3 columns, 100 sources, duplicate entities,
 // half-overlapping relations) so serial numbers are directly comparable to
@@ -897,7 +858,8 @@ func BenchmarkKeyRepresentationTuples(b *testing.B) {
 // comparisons belong to the other benchmarks. BenchmarkStreamingOverlap
 // uses latency-injected LQPs (Counting charges latency per batch, modeling
 // a wide-area streaming transfer) to show the streaming engine overlapping
-// retrieval with PQP work the way the parallel materializing engine does.
+// retrieval with PQP work where the materializing engine pays one round
+// trip per local operation.
 
 // benchStreamFixture builds a one-database federation of n entities and the
 // retrieve→select→project plan over it.
@@ -1055,7 +1017,6 @@ func BenchmarkStreamingOverlap(b *testing.B) {
 		run  func() (*core.Relation, error)
 	}{
 		{"materializing", func() (*core.Relation, error) { return q.ExecuteMaterialized(res.Plan) }},
-		{"parallel", func() (*core.Relation, error) { return q.ExecuteParallel(res.Plan) }},
 		{"streaming", func() (*core.Relation, error) { return q.Execute(res.Plan) }},
 	}
 	for _, eng := range engines {
@@ -1313,52 +1274,7 @@ func BenchmarkFaultDeadline(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// B-COL: columnar execution. Two families: the column-major hash kernels
-// against the row engine on the B-KEY fixture (same input as B-PAR
-// workers=1, so numbers line up across the three BENCH files), and the
-// binary stream-frame codec over a real TCP stream. ColBatch inputs are
-// built outside the timer — the kernels are measured, not the
-// row-to-column conversion (which the wire decode path never pays: binary
-// frames arrive columnar).
-
-func BenchmarkColumnarHashOps(b *testing.B) {
-	for _, n := range []int{10000, 100000} {
-		p1, p2 := keyAblationInput(100, n)
-		c1, c2 := core.FromRelation(p1), core.FromRelation(p2)
-		alg := core.NewAlgebra(nil)
-		type op struct {
-			name string
-			row  func() error
-			col  func() error
-		}
-		ops := []op{
-			{"Union",
-				func() error { _, err := alg.Union(p1, p2); return err },
-				func() error { _, err := core.ColUnion(c1, c2); return err }},
-			{"Difference",
-				func() error { _, err := alg.Difference(p1, p2); return err },
-				func() error { _, err := core.ColDifference(c1, c2); return err }},
-			{"Intersect",
-				func() error { _, err := alg.Intersect(p1, p2); return err },
-				func() error { _, err := core.ColIntersect(c1, c2); return err }},
-		}
-		for _, o := range ops {
-			for _, eng := range []struct {
-				name string
-				run  func() error
-			}{{"row", o.row}, {"col", o.col}} {
-				b.Run(fmt.Sprintf("op=%s/n=%d/engine=%s", o.name, n, eng.name), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if err := eng.run(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
-}
+// B-COL: the binary columnar stream-frame codec over a real TCP stream.
 
 // BenchmarkColumnarWireStream (B-COL): one full LQP stream — open, drain,
 // close — over loopback TCP in binary columnar frames, which decode

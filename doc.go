@@ -14,19 +14,20 @@
 // harness that regenerates every table and figure of the paper in
 // bench_test.go next to this file.
 //
-// Three execution engines evaluate polygen queries, proven cell-for-cell
-// identical (data and both tag sets) by the property suite in
-// internal/core:
+// Two execution engines evaluate polygen queries, proven cell-for-cell
+// identical (data and both tag sets) to each other and to the string-keyed
+// reference operators by the property suites in internal/core and
+// internal/pqp:
 //
 //   - the streaming engine (pqp.Execute, the default): plans run as trees
 //     of batch cursors, bounding peak memory and overlapping remote LQP
 //     retrieval with PQP-side operator work;
-//   - the materializing engine (pqp.ExecuteMaterialized / ExecuteAll /
-//     ExecuteParallel): register-at-a-time evaluation, used whenever every
-//     intermediate register is wanted and as the streaming engine's
-//     reference;
-//   - the string-keyed reference operators (core.Ref*): the pre-hash-native
-//     semantics baseline, not on any query path.
+//   - the materializing engine (pqp.ExecuteMaterialized / ExecuteAll):
+//     register-at-a-time evaluation, used whenever every intermediate
+//     register is wanted and as the streaming engine's reference;
+//   - the string-keyed reference operators (core.Ref*) are the oracle both
+//     are checked against: the pre-hash-native semantics baseline, not on
+//     any query path.
 //
 // Plans are rewritten before execution by the cost-based federated
 // optimizer (translate.OptimizeWithOptions): selections and projections

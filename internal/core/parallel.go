@@ -31,11 +31,11 @@ import (
 //     across runs and partition counts.
 //
 // The Par* operators are exported with an explicit partition count for
-// direct use (and the four-engine property suite); the serial entry points
-// (Project, Union, Difference, Intersect, Join) dispatch here on their own
-// when the algebra carries a Parallel configuration and the input is at or
-// above the cost threshold — small inputs stay on the serial path, whose
-// code is untouched.
+// direct use (and the Par* property suite, parallel_test.go); the serial
+// entry points (Project, Union, Difference, Intersect, Join) dispatch here
+// on their own when the algebra carries a Parallel configuration and the
+// input is at or above the cost threshold — small inputs stay on the
+// serial path, whose code is untouched.
 
 // DefaultParallelThreshold is the minimum total input cardinality at which
 // the serial entry points switch to the partitioned operators. Below it the

@@ -14,9 +14,9 @@ import (
 	"repro/internal/sourceset"
 )
 
-// Four-engine property suite: the partitioned parallel operators join the
-// serial materializing engine, the streaming engine and the string-keyed
-// Ref* reference operators in the cell-for-cell parity contract — and make
+// Par* property suite: the partitioned parallel operators join the serial
+// hash operators, the streaming operators and the string-keyed Ref*
+// reference operators in the cell-for-cell parity contract — and make
 // a stronger promise on top: row order identical to the serial engine, at
 // every partition count, deterministically across runs. Partition counts
 // cover 1 (degenerate), 2, 7 (non-power-of-two: the radix split must not

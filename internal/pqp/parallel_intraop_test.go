@@ -7,7 +7,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Four-engine parity at the PQP level for intra-operator parallelism: the
+// Engine parity at the PQP level for intra-operator parallelism: the
 // same queries over a federation big enough to cross the cost threshold
 // must produce cell-for-cell identical answers — row order included — from
 // a parallel-configured PQP (streaming and materializing engines, whose
@@ -50,5 +50,33 @@ func TestIntraOpParallelEnginesMatchSerial(t *testing.T) {
 		if a, b := strings.Join(render(want.Relation), "\n"), strings.Join(render(mat), "\n"); a != b {
 			t.Errorf("%s: parallel materializing answer diverged from serial", qt)
 		}
+	}
+}
+
+// TestParallelMatchesSerial: the paper's worked query, run by the streaming
+// engine with every hash operator forced onto the partitioned path
+// (threshold 1), answers cell for cell like the serial materializing
+// engine: the two engines at the two ends of the configuration space.
+func TestParallelMatchesSerial(t *testing.T) {
+	q := newPQP(t)
+	q.SetParallel(2, 1)
+	res, err := q.QuerySQL(`SELECT ONAME, CEO FROM PORGANIZATION, PALUMNUS WHERE CEO = ANAME AND ONAME IN
+		(SELECT ONAME FROM PCAREER WHERE AID# IN
+		(SELECT AID# FROM PALUMNUS WHERE DEGREE = "MBA"))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := newPQP(t)
+	serial.SetParallel(-1, 0)
+	mat, err := serial.ExecuteMaterialized(res.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Relation.Cardinality() == 0 {
+		t.Fatal("paper query answered nothing")
+	}
+	a, b := strings.Join(render(res.Relation), "\n"), strings.Join(render(mat), "\n")
+	if a != b {
+		t.Errorf("parallel streaming answer differs:\nserial materializing:\n%s\nparallel streaming:\n%s", b, a)
 	}
 }

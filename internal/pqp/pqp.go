@@ -5,7 +5,7 @@
 // evaluates the PQP-resident polygen operations with the polygen algebra,
 // maintaining data and intermediate source tags throughout.
 //
-// Three engines evaluate plans, all producing cell-for-cell identical
+// Two engines evaluate plans, both producing cell-for-cell identical
 // results (data and both tag sets):
 //
 //   - Execute is the streaming engine and the default: the plan is compiled
@@ -18,8 +18,7 @@
 //   - ExecuteMaterialized is the register-at-a-time materializing engine
 //     the reproduction shipped with, kept as the second reference
 //     implementation (alongside the string-keyed core.Ref* operators);
-//     ExecuteAll exposes it whenever every register is wanted, and
-//     ExecuteParallel runs its steps with inter-row parallelism.
+//     ExecuteAll exposes it whenever every register is wanted.
 //
 // Every engine runs the hash-native algebra: tuple identity is a 64-bit
 // hash and join probes intern canonical IDs through the PQP's resolver. One

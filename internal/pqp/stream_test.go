@@ -3,7 +3,9 @@ package pqp
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/identity"
 	"repro/internal/lqp"
 	"repro/internal/paperdata"
@@ -25,9 +27,9 @@ var streamQueries = []string{
 		(SELECT AID# FROM PALUMNUS WHERE DEGREE = "MBA"))`,
 }
 
-// TestStreamingMatchesMaterializedOnPaperQueries: the streaming engine, the
-// materializing engine and the parallel engine return identical tagged
-// answers (cell for cell, data and both tag sets) for the paper queries.
+// TestStreamingMatchesMaterializedOnPaperQueries: the streaming engine and
+// the materializing engine return identical tagged answers (cell for cell,
+// data and both tag sets) for the paper queries.
 func TestStreamingMatchesMaterializedOnPaperQueries(t *testing.T) {
 	q := newPQP(t)
 	for _, sql := range streamQueries {
@@ -39,16 +41,9 @@ func TestStreamingMatchesMaterializedOnPaperQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: materialized: %v", sql, err)
 		}
-		par, err := q.ExecuteParallel(res.Plan)
-		if err != nil {
-			t.Fatalf("%s: parallel: %v", sql, err)
-		}
 		str := strings.Join(render(res.Relation), "\n")
 		if m := strings.Join(render(mat), "\n"); str != m {
 			t.Errorf("%s:\nstreaming:\n%s\nmaterialized:\n%s", sql, str, m)
-		}
-		if p := strings.Join(render(par), "\n"); str != p {
-			t.Errorf("%s:\nstreaming:\n%s\nparallel:\n%s", sql, str, p)
 		}
 		if res.Relation.AttrNames()[0] != mat.AttrNames()[0] || res.Relation.Degree() != mat.Degree() {
 			t.Errorf("%s: attr layout diverged: %v vs %v", sql, res.Relation.AttrNames(), mat.AttrNames())
@@ -128,23 +123,93 @@ func TestStreamingRedefinedRegisterFallsBack(t *testing.T) {
 	}
 }
 
-// TestStreamingBadPlans: the malformed plans the materializing engine
-// rejects are rejected by the streaming engine too.
+// TestStreamingBadPlans: both engines reject the same malformed plans — an
+// empty plan, a dangling register, a self-referencing row, an unknown
+// database and a relation its database lacks — with an error, not a panic
+// or a hang.
 func TestStreamingBadPlans(t *testing.T) {
 	q := newPQP(t)
-	bad := []*translate.Matrix{
-		{},
-		{Rows: []translate.Row{{PR: 1, Op: translate.OpProject, LHR: translate.RegOperand(42),
-			LHA: []string{"X"}, RHA: translate.NoComparand(), RHR: translate.NoOperand(), EL: "PQP"}}},
-		{Rows: []translate.Row{{PR: 1, Op: translate.OpMerge, LHR: translate.RegOperand(1),
-			RHA: translate.NoComparand(), RHR: translate.NoOperand(), EL: "PQP"}}},
-		{Rows: []translate.Row{{PR: 1, Op: translate.OpRetrieve, LHR: translate.LocalOperand("ALUMNUS"),
-			RHA: translate.NoComparand(), RHR: translate.NoOperand(), EL: "NOSUCHDB"}}},
+	bad := []struct {
+		plan *translate.Matrix
+		want string // a substring the error must carry, if any
+	}{
+		{&translate.Matrix{}, ""},
+		{&translate.Matrix{Rows: []translate.Row{{PR: 1, Op: translate.OpProject, LHR: translate.RegOperand(42),
+			LHA: []string{"X"}, RHA: translate.NoComparand(), RHR: translate.NoOperand(), EL: "PQP"}}}, ""},
+		{&translate.Matrix{Rows: []translate.Row{{PR: 1, Op: translate.OpMerge, LHR: translate.RegOperand(1),
+			RHA: translate.NoComparand(), RHR: translate.NoOperand(), EL: "PQP"}}}, ""},
+		{&translate.Matrix{Rows: []translate.Row{{PR: 1, Op: translate.OpRetrieve, LHR: translate.LocalOperand("ALUMNUS"),
+			RHA: translate.NoComparand(), RHR: translate.NoOperand(), EL: "NOSUCHDB"}}}, "NOSUCHDB"},
+		// The missing relation's error reaches the caller through the
+		// dependent row.
+		{&translate.Matrix{Rows: []translate.Row{
+			{PR: 1, Op: translate.OpRetrieve, LHR: translate.LocalOperand("NOSUCH"),
+				RHA: translate.NoComparand(), RHR: translate.NoOperand(), EL: "AD"},
+			{PR: 2, Op: translate.OpProject, LHR: translate.RegOperand(1), LHA: []string{"X"},
+				RHA: translate.NoComparand(), RHR: translate.NoOperand(), EL: "PQP"},
+		}}, "NOSUCH"},
 	}
-	for i, plan := range bad {
-		if _, err := q.Execute(plan); err == nil {
-			t.Errorf("bad plan %d accepted by streaming engine", i)
+	engines := []struct {
+		name string
+		run  func(*translate.Matrix) (*core.Relation, error)
+	}{
+		{"streaming", q.Execute},
+		{"materializing", q.ExecuteMaterialized},
+	}
+	for _, eng := range engines {
+		for i, c := range bad {
+			_, err := eng.run(c.plan)
+			if err == nil {
+				t.Errorf("bad plan %d accepted by the %s engine", i, eng.name)
+			} else if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("bad plan %d: %s engine error %q does not name %s", i, eng.name, err, c.want)
+			}
 		}
+	}
+}
+
+// TestStreamingOverlapsLQPLatency: with three LQPs at injected latency, the
+// Merge's retrieve fan-out overlaps under the streaming engine (whose
+// prefetching local streams proceed concurrently) into about one round
+// trip; the serial materializing engine pays one full round trip per local
+// operation.
+func TestStreamingOverlapsLQPLatency(t *testing.T) {
+	const latency = 20 * time.Millisecond
+	fed := paperdata.New()
+	lqps := make(map[string]lqp.LQP, 3)
+	for name, l := range fed.LQPs() {
+		c := lqp.NewCounting(l)
+		c.Latency = latency
+		lqps[name] = c
+	}
+	q := New(fed.Schema, fed.Registry, identity.CaseFold{}, lqps)
+	e, err := translate.CompileSQL(`SELECT ONAME FROM PORGANIZATION WHERE INDUSTRY = "Banking"`, q.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := q.Run(e) // plan once; time the engines below
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Serial materializing: 3 sequential retrieves = 3 × latency minimum.
+	start := time.Now()
+	if _, err := q.ExecuteMaterialized(res.Plan); err != nil {
+		t.Fatal(err)
+	}
+	serial := time.Since(start)
+	start = time.Now()
+	if _, err := q.Execute(res.Plan); err != nil {
+		t.Fatal(err)
+	}
+	streaming := time.Since(start)
+	if serial < 3*latency {
+		t.Fatalf("serial run too fast (%v); latency injection broken?", serial)
+	}
+	if streaming >= serial {
+		t.Errorf("streaming (%v) not faster than serial materializing (%v)", streaming, serial)
+	}
+	if streaming > 2*latency {
+		t.Errorf("streaming run %v; the three retrieves should overlap into ~one latency (%v)", streaming, latency)
 	}
 }
 

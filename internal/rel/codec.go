@@ -169,11 +169,6 @@ func (r *FrameReader) DecodeColumn(n int) (Column, error) {
 		}
 	}
 	col.Kinds = kinds
-	for i, k := range kinds {
-		if k == KindNull {
-			col.SetNull(i)
-		}
-	}
 	if payload > 0 {
 		pb, err := r.Take(payload)
 		if err != nil {

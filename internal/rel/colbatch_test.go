@@ -114,12 +114,14 @@ func TestColCursorBatchEdges(t *testing.T) {
 	})
 
 	t.Run("batch cursor skips empties", func(t *testing.T) {
-		empty := NewColBatch(schema)
-		full := FromTuples(schema, colTestTuples(2))
-		c := NewColBatchCursor(schema, []*ColBatch{empty, full, empty})
+		// The filter empties the first input batch (keys 0-2); the
+		// columnar view over it must skip that batch, not yield it empty.
+		in := FilterCursor(NewSliceCursor(schema, colTestTuples(7), 3), func(t Tuple) bool { return t[0].IntVal() >= 3 })
+		c := Prefetch(in, 2).(ColCursor)
+		defer c.Close()
 		rows, batches := drainCol(t, c)
-		if rows != 2 || len(batches) != 1 {
-			t.Fatalf("got %d rows in %d batches, want 2 in 1", rows, len(batches))
+		if rows != 4 || len(batches) != 2 {
+			t.Fatalf("got %d rows in %d batches, want 4 in 2", rows, len(batches))
 		}
 	})
 }

@@ -6,16 +6,16 @@
 #
 #   serve  B-KEY / B-STREAM / B-OPT / B-SERVE        -> BENCH_serve.json
 #   par    B-PAR (partitioned hash ops, parallel     -> BENCH_par.json
-#          stream join, mediator latency, parallel
-#          plan execution)
+#          stream join, mediator latency);
+#          also guards the row engine's allocations:
+#          serial Union at n=100000 must stay within
+#          1.10x the allocs/op of the BENCH_par.json
+#          the run replaces
 #   fault  B-FAULT (replicated star under injected   -> BENCH_fault.json
 #          faults: scenario latency percentiles,
 #          hedge/retry fire rates, deadline bound)
-#   col    B-COL (columnar hash kernels vs the row    -> BENCH_col.json
-#          engine, binary stream framing);
-#          also guards the columnar alloc win: the
-#          col-engine Union at n=100000 must stay
-#          >=5x below BENCH_par's row-engine allocs
+#   col    B-COL (binary columnar stream framing     -> BENCH_col.json
+#          over TCP)
 #   shard  B-SHARD (scatter-gather federation at      -> BENCH_shard.json
 #          1/2/4/8 shards vs single-endpoint:
 #          latency, cells-per-shard, key pruning)
@@ -41,9 +41,9 @@ benchtime=${BENCHTIME:-100x}
 suite_pattern() {
     case "$1" in
     serve) echo 'BenchmarkKeyRepresentation|BenchmarkStreaming|BenchmarkFederatedPushdown|BenchmarkFederatedJoinOrder|BenchmarkServe' ;;
-    par) echo 'BenchmarkParallelHashOps|BenchmarkParallelStreamJoin|BenchmarkParallelMediatorLatency|BenchmarkParallelExecution' ;;
+    par) echo 'BenchmarkParallelHashOps|BenchmarkParallelStreamJoin|BenchmarkParallelMediatorLatency' ;;
     fault) echo 'BenchmarkFaultScenarios|BenchmarkFaultDeadline' ;;
-    col) echo 'BenchmarkColumnarHashOps|BenchmarkColumnarWireStream' ;;
+    col) echo 'BenchmarkColumnarWireStream' ;;
     shard) echo 'BenchmarkShardScatterGather|BenchmarkShardPrunedRetrieve' ;;
     store) echo 'BenchmarkStoreReplay|BenchmarkStoreAppend|BenchmarkSpillJoin' ;;
     *) echo "ERROR: unknown suite '$1' (want: serve par fault col shard store)" >&2; return 1 ;;
@@ -74,30 +74,45 @@ host_record() {
         "$gover" "$goos" "$goarch" "$ncpu" "$maxprocs"
 }
 
-# The columnar suite carries a regression guard: the col-engine Union at
-# n=100000 must allocate at least 5x less often than the row engine's
-# recorded baseline in BENCH_par.json (workers=1). A refactor that quietly
-# reintroduces per-row allocation fails the run.
-check_col_guard() {
-    [ -f BENCH_par.json ] || { echo "== col guard: no BENCH_par.json baseline, skipping" >&2; return 0; }
-    python3 - <<'EOF'
+# The par suite carries a regression guard on the row engine the PQP runs:
+# the serial (workers=1) Union at n=100000 must allocate at most 1.10x as
+# often as the record in the BENCH_par.json the run replaces. A refactor
+# that quietly reintroduces per-row allocation fails the run. allocs/op is
+# deterministic for this fixture (the same at -benchtime=1x as at 100x), so
+# a one-iteration smoke run is gated too.
+par_guard_bench=BenchmarkParallelHashOps/op=Union/n=100000/workers=1
+
+# par_guard_allocs prints the guard benchmark's allocs/op recorded in the
+# JSON file $1, or nothing when the file or the record is missing.
+par_guard_allocs() {
+    [ -f "$1" ] || return 0
+    python3 - "$1" "$par_guard_bench" <<'EOF'
 import json, sys
-
-def allocs(path, name):
-    with open(path) as f:
-        for rec in json.load(f):
-            if rec.get("benchmark") == name:
-                return rec.get("allocs/op")
-    return None
-
-base = allocs("BENCH_par.json", "BenchmarkParallelHashOps/op=Union/n=100000/workers=1")
-col = allocs("BENCH_col.json", "BenchmarkColumnarHashOps/op=Union/n=100000/engine=col")
-if base is None or col is None:
-    sys.exit("col guard: missing Union@100k record (BENCH_par workers=1 or BENCH_col engine=col)")
-if col * 5 > base:
-    sys.exit(f"col guard: columnar Union@100k allocs/op regressed: {col} vs row baseline {base} (need >=5x fewer)")
-print(f"== col guard: columnar Union@100k allocs/op {col} vs row {base} ({base/col:.0f}x fewer) — ok", file=sys.stderr)
+with open(sys.argv[1]) as f:
+    for rec in json.load(f):
+        if rec.get("benchmark") == sys.argv[2] and "allocs/op" in rec:
+            print(rec["allocs/op"])
 EOF
+}
+
+# check_par_guard compares the fresh BENCH_par.json against the baseline
+# allocs/op $1 read before the run.
+check_par_guard() {
+    local base=$1 now
+    if [ -z "$base" ]; then
+        echo "== par guard: no $par_guard_bench baseline, skipping" >&2
+        return 0
+    fi
+    now=$(par_guard_allocs BENCH_par.json)
+    if [ -z "$now" ]; then
+        echo "ERROR: par guard: no $par_guard_bench allocs/op in the new BENCH_par.json" >&2
+        return 1
+    fi
+    if ! python3 -c 'import sys; sys.exit(float(sys.argv[1]) > 1.10 * float(sys.argv[2]))' "$now" "$base"; then
+        echo "ERROR: par guard: row-engine Union@100k allocs/op regressed: $now vs baseline $base (limit 1.10x)" >&2
+        return 1
+    fi
+    echo "== par guard: row-engine Union@100k allocs/op $now vs baseline $base — ok" >&2
 }
 
 # Benchmark output lines look like:
@@ -122,7 +137,7 @@ to_json() {
 }
 
 run_suite() {
-    local suite=$1 pattern out raw count
+    local suite=$1 pattern out raw count base=
     # `|| return` so a bad suite name fails fast even though the caller's
     # `run_suite X || failed=1` context suppresses errexit in here.
     pattern=$(suite_pattern "$suite") || return 1
@@ -133,6 +148,9 @@ run_suite() {
     fi
     raw=$(mktemp)
     trap 'rm -f "$raw"' RETURN
+    if [ "$suite" = par ]; then
+        base=$(par_guard_allocs "$out") || return 1
+    fi
     echo "== suite $suite: running ($pattern) with -benchtime=$benchtime ..." >&2
     # Explicit status check: the caller's `run_suite X || failed=1` context
     # suppresses errexit in here, and a benchmark that b.Fatals after
@@ -149,8 +167,8 @@ run_suite() {
         return 1
     fi
     echo "== suite $suite: wrote $count benchmark records to $out" >&2
-    if [ "$suite" = col ]; then
-        check_col_guard || return 1
+    if [ "$suite" = par ]; then
+        check_par_guard "$base" || return 1
     fi
 }
 
@@ -163,6 +181,6 @@ for s in "${suites[@]}"; do
     run_suite "$s" || failed=1
 done
 if [ "$failed" -ne 0 ]; then
-    echo "ERROR: at least one suite produced no JSON — fix the pattern or the benchmarks" >&2
+    echo "ERROR: at least one suite failed (no JSON records or a failed guard; see above)" >&2
     exit 1
 fi
