@@ -609,45 +609,41 @@ func BenchmarkWireRetrieve(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// B-PAR (intra-operator): morsel-driven partitioned hash operators. The
+// B-PAR (intra-operator): the streaming engine's partitioned builds. The
 // fixture is the B-KEY input (3 columns, 100 sources, duplicate entities,
 // half-overlapping relations) so serial numbers are directly comparable to
-// that family. workers=1 is the untouched serial path; workers=N runs the
-// same operator radix-partitioned into N partitions on an N-worker pool
-// (threshold 1: every input goes parallel). On a single-core host the
-// sweep measures partitioning overhead rather than speedup — scaling
-// numbers belong to multi-core runs (EXPERIMENTS.md B-PAR).
+// that family. BenchmarkParallelHashOps measures the serial row operators
+// the materializing engine runs, at workers=1 only: no materializing
+// operator partitions, so more workers would run the same code. Its
+// op=Union/n=100000/workers=1 point carries the par suite's allocs/op
+// guard (scripts/bench.sh). Scaling numbers belong to multi-core runs
+// (EXPERIMENTS.md B-PAR).
 
 func BenchmarkParallelHashOps(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		p1, p2 := keyAblationInput(100, n)
 		cols := []string{"KEY", "CAT"}
-		for _, w := range []int{1, 2, 4} {
-			alg := core.NewAlgebra(nil)
-			if w > 1 {
-				alg.SetParallel(&core.Parallel{Pool: exec.NewPool(w), Threshold: 1})
-			}
-			type op struct {
-				name string
-				run  func() error
-			}
-			ops := []op{
-				{"Union", func() error { _, err := alg.Union(p1, p2); return err }},
-				{"Join", func() error { _, err := alg.Join(p1, "KEY", rel.ThetaEQ, p2, "KEY"); return err }},
-				{"Project", func() error { _, err := alg.Project(p1, cols); return err }},
-				{"Difference", func() error { _, err := alg.Difference(p1, p2); return err }},
-				{"Intersect", func() error { _, err := alg.Intersect(p1, p2); return err }},
-			}
-			for _, o := range ops {
-				b.Run(fmt.Sprintf("op=%s/n=%d/workers=%d", o.name, n, w), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if err := o.run(); err != nil {
-							b.Fatal(err)
-						}
+		alg := core.NewAlgebra(nil)
+		type op struct {
+			name string
+			run  func() error
+		}
+		ops := []op{
+			{"Union", func() error { _, err := alg.Union(p1, p2); return err }},
+			{"Join", func() error { _, err := alg.Join(p1, "KEY", rel.ThetaEQ, p2, "KEY"); return err }},
+			{"Project", func() error { _, err := alg.Project(p1, cols); return err }},
+			{"Difference", func() error { _, err := alg.Difference(p1, p2); return err }},
+			{"Intersect", func() error { _, err := alg.Intersect(p1, p2); return err }},
+		}
+		for _, o := range ops {
+			b.Run(fmt.Sprintf("op=%s/n=%d/workers=1", o.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := o.run(); err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -679,14 +675,15 @@ func BenchmarkParallelStreamJoin(b *testing.B) {
 
 // BenchmarkParallelMediatorLatency (B-PAR): what intra-operator
 // parallelism buys a single mediator client — the latency of one heavy
-// union query (two ~1/5 selections over a 30k-entity two-database
-// federation) through the full session path, at pool sizes 1 (parallel
-// path disabled) and 4. Every other B-PAR point measures an operator in
-// isolation; this one includes translation, retrieval, tagging and the
-// mediator bookkeeping that dilute Amdahl's parallel fraction.
+// MINUS query over a 30k-entity two-database federation, whose
+// StreamDifference drop side (~1/5 of the entities) builds partitioned,
+// through the full session path, at pool sizes 1 (parallel path disabled)
+// and 4. Every other B-PAR point measures an operator in isolation; this
+// one includes translation, retrieval, tagging, the Merge and the mediator
+// bookkeeping that dilute Amdahl's parallel fraction.
 func BenchmarkParallelMediatorLatency(b *testing.B) {
 	f := workload.New(workload.Config{Databases: 2, Entities: 30000, Overlap: 0.6, Categories: 5, Seed: 9})
-	const query = `(PENTITY [CAT = "cat1"]) UNION (PENTITY [CAT = "cat2"])`
+	const query = `(PENTITY [CAT >= "cat1"]) MINUS (PENTITY [CAT = "cat3"])`
 	for _, w := range []int{1, 4} {
 		q := pqp.New(f.Schema, f.Registry, nil, f.LQPs())
 		if w > 1 {

@@ -70,7 +70,7 @@ func main() {
 	relaxed := flag.Bool("relaxed-reorder", false, "permit tag-relaxed join reordering (see translate.Options)")
 	collect := flag.Bool("collect-stats", true, "probe LQP statistics at startup to seed the optimizer")
 	parWorkers := flag.Int("parallel-workers", 0, "intra-operator worker pool size shared by all sessions (0 = GOMAXPROCS, -1 disables the parallel path)")
-	parThreshold := flag.Int("parallel-threshold", 0, "minimum input tuples before a hash operator runs partitioned (0 = engine default)")
+	parThreshold := flag.Int("parallel-threshold", 0, "minimum build-side tuples before a join or difference build runs partitioned (0 = engine default)")
 	memBudget := flag.String("mem-budget", "", `per-query memory budget for blocking hash operators, e.g. "64M" or "1G" (K/M/G suffixes; empty disables): partitions past the budget grace-spill to checksummed temp segments and are processed from disk; mutually exclusive with the parallel path — a budgeted engine builds serially`)
 	spillDir := flag.String("spill-dir", "", "directory for -mem-budget spill segments (empty = the OS temp dir)")
 	maxSessions := flag.Int("max-sessions", 0, "session table bound (0 = default)")

@@ -21,10 +21,13 @@
 //
 //   - the streaming engine (pqp.Execute, the default): plans run as trees
 //     of batch cursors, bounding peak memory and overlapping remote LQP
-//     retrieval with PQP-side operator work;
+//     retrieval with PQP-side operator work; its join and difference
+//     builds are the only operators that run partitioned across the
+//     worker pool (core/parallel.go);
 //   - the materializing engine (pqp.ExecuteMaterialized / ExecuteAll):
-//     register-at-a-time evaluation, used whenever every intermediate
-//     register is wanted and as the streaming engine's reference;
+//     serial register-at-a-time evaluation, used whenever every
+//     intermediate register is wanted and as the streaming engine's
+//     reference;
 //   - the string-keyed reference operators (core.Ref*) are the oracle both
 //     are checked against: the pre-hash-native semantics baseline, not on
 //     any query path.

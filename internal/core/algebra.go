@@ -17,9 +17,11 @@ type Algebra struct {
 	conflict ConflictHandler
 	exact    bool
 	// par, when non-nil, enables morsel-driven intra-operator parallelism:
-	// hash operators over inputs at or above the cost threshold partition
-	// by hash and fan out across the shared worker pool (parallel.go). Set
-	// while wiring, before the Algebra is shared; nil means serial.
+	// StreamJoin and StreamDifference build sides at or above the cost
+	// threshold partition by hash across the shared worker pool, and
+	// StreamJoin probes on it (parallel.go). Every other operator is
+	// serial. Set while wiring, before the Algebra is shared; nil means
+	// serial.
 	par *Parallel
 	// mem, when non-nil with a positive budget, bounds the blocking state
 	// of the streaming hash operators: partitions past the budget
@@ -100,9 +102,6 @@ func (a *Algebra) Project(p *Relation, attrs []string) (*Relation, error) {
 		}
 		idx[i] = ci
 		outAttrs[i] = p.Attrs[ci]
-	}
-	if parts := a.parParts(len(p.Tuples)); parts > 1 {
-		return a.parProject(parts, p, idx, outAttrs), nil
 	}
 	out := NewRelation("", p.Reg, outAttrs...)
 	ix := newDataIndex(len(p.Tuples))
@@ -232,9 +231,6 @@ func (a *Algebra) Union(p1, p2 *Relation) (*Relation, error) {
 	if p1.Degree() != p2.Degree() {
 		return nil, fmt.Errorf("core: union of degree %d with degree %d", p1.Degree(), p2.Degree())
 	}
-	if parts := a.parParts(len(p1.Tuples) + len(p2.Tuples)); parts > 1 {
-		return a.parUnion(parts, p1, p2), nil
-	}
 	out := NewRelation("", p1.Reg, p1.Attrs...)
 	ix := newDataIndex(len(p1.Tuples) + len(p2.Tuples))
 	for _, src := range [...]*Relation{p1, p2} {
@@ -252,9 +248,6 @@ func (a *Algebra) Union(p1, p2 *Relation) (*Relation, error) {
 func (a *Algebra) Difference(p1, p2 *Relation) (*Relation, error) {
 	if p1.Degree() != p2.Degree() {
 		return nil, fmt.Errorf("core: difference of degree %d with degree %d", p1.Degree(), p2.Degree())
-	}
-	if parts := a.parParts(len(p1.Tuples) + len(p2.Tuples)); parts > 1 {
-		return a.parDifference(parts, p1, p2), nil
 	}
 	drop := newDataIndex(len(p2.Tuples))
 	for i, t := range p2.Tuples {
@@ -289,9 +282,6 @@ func (a *Algebra) Difference(p1, p2 *Relation) (*Relation, error) {
 func (a *Algebra) Intersect(p1, p2 *Relation) (*Relation, error) {
 	if p1.Degree() != p2.Degree() {
 		return nil, fmt.Errorf("core: intersect of degree %d with degree %d", p1.Degree(), p2.Degree())
-	}
-	if parts := a.parParts(len(p1.Tuples) + len(p2.Tuples)); parts > 1 {
-		return a.parIntersect(parts, p1, p2), nil
 	}
 	index := newDataIndex(len(p2.Tuples))
 	for i, t := range p2.Tuples {

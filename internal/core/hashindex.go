@@ -35,8 +35,8 @@ func dedupInsert(out *Relation, ix dataIndex, t Tuple) {
 }
 
 // dedupInsertHashed is dedupInsert with the data hash already computed (the
-// partitioned operators hash once to route a tuple to its partition and
-// reuse the hash for the partition-local dedup). It reports whether t's
+// budgeted dedup hashes once to route a tuple to its spill partition and
+// reuses the hash for the partition-local dedup). It reports whether t's
 // data portion was new — i.e. whether a row was appended.
 func dedupInsertHashed(out *Relation, ix dataIndex, t Tuple, h uint64) bool {
 	if at, dup := ix.find(out.Tuples, t, h); dup {

@@ -35,9 +35,6 @@ func (a *Algebra) Join(p1 *Relation, x string, theta rel.Theta, p2 *Relation, y 
 	}
 	coalesce := joinCoalesces(p1.Attrs[xi], p2.Attrs[yi])
 	attrs := joinAttrs(p1.Attrs, xi, p2.Name, p2.Attrs, yi, coalesce)
-	if parts := a.parParts(len(p1.Tuples) + len(p2.Tuples)); parts > 1 {
-		return a.parJoin(parts, p1, xi, p2, yi, coalesce, attrs), nil
-	}
 	out := NewRelation("", p1.Reg, attrs...)
 
 	// Probe by interned canonical ID: the resolver guarantees equal IDs iff

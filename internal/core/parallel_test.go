@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"sync/atomic"
@@ -14,19 +15,42 @@ import (
 	"repro/internal/sourceset"
 )
 
-// Par* property suite: the partitioned parallel operators join the serial
-// hash operators, the streaming operators and the string-keyed Ref*
-// reference operators in the cell-for-cell parity contract — and make
-// a stronger promise on top: row order identical to the serial engine, at
-// every partition count, deterministically across runs. Partition counts
-// cover 1 (degenerate), 2, 7 (non-power-of-two: the radix split must not
-// assume power-of-two masks) and 16 (more partitions than tuples).
+// parCase is one input pair for the partitioned stream builds: P1 probes
+// (or is filtered), P2 is the build side, joined on X = Y.
+type parCase struct {
+	res    identity.Resolver
+	p1, p2 *Relation
+	x, y   string
+}
 
-var parTestParts = []int{1, 2, 7, 16}
+// parStreamOps are the two streaming operators that build partitioned on a
+// parallel-configured algebra, with their serial materializing and Ref*
+// counterparts.
+var parStreamOps = []struct {
+	name   string
+	stream func(a *Algebra, in parCase) (Cursor, error)
+	mat    func(a *Algebra, in parCase) (*Relation, error)
+	ref    func(a *Algebra, in parCase) (*Relation, error)
+}{
+	{"join",
+		func(a *Algebra, in parCase) (Cursor, error) {
+			return a.StreamJoin(cursorOver(in.p1), in.x, rel.ThetaEQ, cursorOver(in.p2), in.y)
+		},
+		func(a *Algebra, in parCase) (*Relation, error) { return a.Join(in.p1, in.x, rel.ThetaEQ, in.p2, in.y) },
+		func(a *Algebra, in parCase) (*Relation, error) {
+			return a.RefJoin(in.p1, in.x, rel.ThetaEQ, in.p2, in.y)
+		}},
+	{"difference",
+		func(a *Algebra, in parCase) (Cursor, error) {
+			return a.StreamDifference(cursorOver(in.p1), cursorOver(in.p2))
+		},
+		func(a *Algebra, in parCase) (*Relation, error) { return a.Difference(in.p1, in.p2) },
+		func(a *Algebra, in parCase) (*Relation, error) { return a.RefDifference(in.p1, in.p2) }},
+}
 
 // wantSameOrdered asserts two relations agree cell for cell in the same
-// row order — the parallel engine's ordered-concat guarantee, stronger
-// than wantSameRendered's order-insensitive parity.
+// row order — the partitioned builds' promise, stronger than
+// wantSameRendered's order-insensitive parity.
 func wantSameOrdered(t *testing.T, label string, i int, got, ref *Relation) {
 	t.Helper()
 	gr, rr := render(got), render(ref)
@@ -36,95 +60,96 @@ func wantSameOrdered(t *testing.T, label string, i int, got, ref *Relation) {
 	}
 }
 
+// checkParStream runs op twice on a fresh pool of each worker count at
+// each threshold and holds every run to the serial streaming answer ser
+// row for row. The pool's counters must show the partitioned path ran
+// exactly when the build side reaches the threshold.
+func checkParStream(t *testing.T, k int, op string, stream func(*Algebra, parCase) (Cursor, error),
+	in parCase, ser *Relation, workers, thresholds []int) {
+	t.Helper()
+	for _, w := range workers {
+		for _, threshold := range thresholds {
+			pool := exec.NewPool(w)
+			parAlg := NewAlgebra(in.res)
+			parAlg.SetParallel(&Parallel{Pool: pool, Threshold: threshold})
+			partitioned := len(in.p2.Tuples) >= threshold
+			for run := 0; run < 2; run++ {
+				label := fmt.Sprintf("%s workers=%d threshold=%d run=%d", op, w, threshold, run)
+				before := pool.Snapshot()
+				got := mustDrain(stream(parAlg, in))
+				after := pool.Snapshot()
+				if ran := after.Helpers+after.Submits > before.Helpers+before.Submits; ran != partitioned {
+					t.Fatalf("iteration %d: %s: pool used = %v, want %v (build side %d tuples)",
+						k, label, ran, partitioned, len(in.p2.Tuples))
+				}
+				wantSameOrdered(t, label, k, got, ser)
+			}
+		}
+	}
+}
+
 // TestPropertyParOpsMatchAllEngines: for random wide inputs (mixed kinds,
-// NaN/-0, >64-source tag sets) every Par* operator must equal the serial
-// operator row for row, and the streaming and reference engines cell for
-// cell, at all partition counts.
+// NaN/-0, >64-source tag sets) StreamDifference on a parallel-configured
+// algebra — pools of 2, 3 and 7 workers (7: the radix split must not assume
+// power-of-two partition counts), at Threshold 1 where every non-empty
+// build partitions and at Threshold 64 where smaller ones stay serial —
+// equals the serial streaming operator row for row, and the materializing
+// and Ref* operators cell for cell. StreamUnion, StreamIntersect and
+// StreamProject stay serial on that algebra: same rows, pool untouched.
 func TestPropertyParOpsMatchAllEngines(t *testing.T) {
 	g, reg := newWideGen(80)
-	alg := NewAlgebra(nil)
-	for i := 0; i < 200; i++ {
-		p1 := g.wideRelation(reg, "A", "B")
-		p2 := g.wideRelation(reg, "A", "B")
-		for _, parts := range parTestParts {
-			// Union.
-			ser, err := alg.Union(p1, p2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := alg.ParUnion(p1, p2, parts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameOrdered(t, "par union", i, par, ser)
-			ref, err := alg.RefUnion(p1, p2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameRendered(t, "par union vs reference", i, par, ref)
-			str := mustDrain(alg.StreamUnion(cursorOver(p1), cursorOver(p2)))
-			wantSameRendered(t, "par union vs streaming", i, par, str)
+	serialAlg := NewAlgebra(nil)
+	pool := exec.NewPool(3)
+	parAlg := NewAlgebra(nil)
+	parAlg.SetParallel(&Parallel{Pool: pool, Threshold: 1})
+	serialOnly := []struct {
+		name   string
+		stream func(a *Algebra, p1, p2 *Relation) (Cursor, error)
+	}{
+		{"union", func(a *Algebra, p1, p2 *Relation) (Cursor, error) {
+			return a.StreamUnion(cursorOver(p1), cursorOver(p2))
+		}},
+		{"intersect", func(a *Algebra, p1, p2 *Relation) (Cursor, error) {
+			return a.StreamIntersect(cursorOver(p1), cursorOver(p2))
+		}},
+		{"project", func(a *Algebra, p1, _ *Relation) (Cursor, error) {
+			return a.StreamProject(cursorOver(p1), []string{"B", "A"})
+		}},
+	}
+	diff := parStreamOps[1]
+	for i := 0; i < 100; i++ {
+		in := parCase{p1: g.wideRelation(reg, "A", "B"), p2: g.wideRelation(reg, "A", "B")}
+		ser := mustDrain(diff.stream(serialAlg, in))
+		mat, err := diff.mat(serialAlg, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSameRendered(t, "difference vs materializing", i, ser, mat)
+		ref, err := diff.ref(serialAlg, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSameRendered(t, "difference vs reference", i, ser, ref)
+		checkParStream(t, i, "difference", diff.stream, in, ser, []int{2, 3, 7}, []int{1, 64})
 
-			// Difference.
-			ser, err = alg.Difference(p1, p2)
-			if err != nil {
-				t.Fatal(err)
+		for _, op := range serialOnly {
+			want := mustDrain(op.stream(serialAlg, in.p1, in.p2))
+			before := pool.Snapshot()
+			got := mustDrain(op.stream(parAlg, in.p1, in.p2))
+			after := pool.Snapshot()
+			if after.Helpers+after.Submits != before.Helpers+before.Submits {
+				t.Fatalf("iteration %d: %s used the pool; only join and difference builds partition", i, op.name)
 			}
-			par, err = alg.ParDifference(p1, p2, parts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameOrdered(t, "par difference", i, par, ser)
-			ref, err = alg.RefDifference(p1, p2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameRendered(t, "par difference vs reference", i, par, ref)
-			str = mustDrain(alg.StreamDifference(cursorOver(p1), cursorOver(p2)))
-			wantSameRendered(t, "par difference vs streaming", i, par, str)
-
-			// Intersect.
-			ser, err = alg.Intersect(p1, p2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err = alg.ParIntersect(p1, p2, parts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameOrdered(t, "par intersect", i, par, ser)
-			ref, err = alg.RefIntersect(p1, p2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameRendered(t, "par intersect vs reference", i, par, ref)
-			str = mustDrain(alg.StreamIntersect(cursorOver(p1), cursorOver(p2)))
-			wantSameRendered(t, "par intersect vs streaming", i, par, str)
-
-			// Project.
-			ser, err = alg.Project(p1, []string{"B", "A"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err = alg.ParProject(p1, []string{"B", "A"}, parts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameOrdered(t, "par project", i, par, ser)
-			ref, err = alg.RefProject(p1, []string{"B", "A"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSameRendered(t, "par project vs reference", i, par, ref)
-			str = mustDrain(alg.StreamProject(cursorOver(p1), []string{"B", "A"}))
-			wantSameRendered(t, "par project vs streaming", i, par, str)
+			wantSameOrdered(t, op.name+" on a parallel-configured algebra", i, got, want)
 		}
 	}
 }
 
 // TestPropertyParJoinMatchesAllEngines runs the join parity under every
 // resolver kind (exact, case-folding, synonym groups) — the partitioned
-// probe interns canonical IDs concurrently.
+// build interns canonical IDs concurrently and the probe fans out through
+// ParallelCursor. Each run equals serial StreamJoin row for row; serial
+// StreamJoin equals Join and RefJoin cell for cell.
 func TestPropertyParJoinMatchesAllEngines(t *testing.T) {
 	resolvers := []identity.Resolver{
 		identity.Exact{},
@@ -134,30 +159,24 @@ func TestPropertyParJoinMatchesAllEngines(t *testing.T) {
 			[]rel.Value{rel.String("c"), rel.String("d")},
 		),
 	}
+	join := parStreamOps[0]
 	for ri, res := range resolvers {
 		g, reg := newWideGen(int64(84 + ri))
 		alg := NewAlgebra(res)
-		for i := 0; i < 120; i++ {
-			p1 := g.wideRelation(reg, "K/PK", "V")
-			p2 := g.wideRelation(reg, "K2/PK", "W")
-			ser, err := alg.Join(p1, "K", rel.ThetaEQ, p2, "K2")
+		for i := 0; i < 60; i++ {
+			in := parCase{res, g.wideRelation(reg, "K/PK", "V"), g.wideRelation(reg, "K2/PK", "W"), "K", "K2"}
+			ser := mustDrain(join.stream(alg, in))
+			mat, err := join.mat(alg, in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, parts := range parTestParts {
-				par, err := alg.ParJoin(p1, "K", rel.ThetaEQ, p2, "K2", parts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantSameOrdered(t, "par join", i, par, ser)
-			}
-			ref, err := alg.RefJoin(p1, "K", rel.ThetaEQ, p2, "K2")
+			wantSameRendered(t, "join vs materializing", i, ser, mat)
+			ref, err := join.ref(alg, in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantSameRendered(t, "par join vs reference", i, ser, ref)
-			str := mustDrain(alg.StreamJoin(cursorOver(p1), "K", rel.ThetaEQ, cursorOver(p2), "K2"))
-			wantSameRendered(t, "par join vs streaming", i, ser, str)
+			wantSameRendered(t, "join vs reference", i, ser, ref)
+			checkParStream(t, i, fmt.Sprintf("join resolver=%d", ri), join.stream, in, ser, []int{2, 3, 7}, []int{1, 64})
 		}
 	}
 }
@@ -184,101 +203,63 @@ func parBigInput(reg *sourceset.Registry, n int) (*Relation, *Relation) {
 	return mk("P1", 0), mk("P2", n/6)
 }
 
-// TestParOpsDeterministicAcrossRunsAndParts: on a shared real worker pool,
-// every partitioned operator's output — order included — is identical
-// across repeated runs and across partition counts 1, 2, 7 and 16, and
-// equal to the serial engine. This is the ordered-concat determinism the
-// engine promises (and, under -race, the lock-freedom proof for the
-// per-partition builds).
-func TestParOpsDeterministicAcrossRunsAndParts(t *testing.T) {
+// bigParCase is parBigInput's n-tuple pair, joined KEY = KEY.
+func bigParCase(n int) parCase {
 	reg := sourceset.NewRegistry()
 	for i := 0; i < 90; i++ {
 		reg.Intern(workloadDBName(i))
 	}
-	p1, p2 := parBigInput(reg, 3000)
+	p1, p2 := parBigInput(reg, n)
+	return parCase{nil, p1, p2, "KEY", "KEY"}
+}
+
+// TestParOpsDeterministicAcrossRunsAndParts: on duplicate-heavy 3000-tuple
+// inputs, every partitioned stream build's output — order included — is
+// identical across repeated runs and across partition counts 2, 3 and 7
+// (one partition per pool worker), and equal to the serial engine. This is
+// the ordered-output determinism the builds promise (and, under -race, the
+// lock-freedom proof for the per-partition builds).
+func TestParOpsDeterministicAcrossRunsAndParts(t *testing.T) {
+	in := bigParCase(3000)
 	serialAlg := NewAlgebra(nil)
-	parAlg := NewAlgebra(nil)
-	parAlg.SetParallel(&Parallel{Pool: exec.NewPool(4)})
-	ops := []struct {
-		name   string
-		serial func() (*Relation, error)
-		par    func(parts int) (*Relation, error)
-	}{
-		{"union", func() (*Relation, error) { return serialAlg.Union(p1, p2) },
-			func(parts int) (*Relation, error) { return parAlg.ParUnion(p1, p2, parts) }},
-		{"difference", func() (*Relation, error) { return serialAlg.Difference(p1, p2) },
-			func(parts int) (*Relation, error) { return parAlg.ParDifference(p1, p2, parts) }},
-		{"intersect", func() (*Relation, error) { return serialAlg.Intersect(p1, p2) },
-			func(parts int) (*Relation, error) { return parAlg.ParIntersect(p1, p2, parts) }},
-		{"project", func() (*Relation, error) { return serialAlg.Project(p1, []string{"CAT", "KEY"}) },
-			func(parts int) (*Relation, error) { return parAlg.ParProject(p1, []string{"CAT", "KEY"}, parts) }},
-		{"join", func() (*Relation, error) { return serialAlg.Join(p1, "KEY", rel.ThetaEQ, p2, "KEY") },
-			func(parts int) (*Relation, error) { return parAlg.ParJoin(p1, "KEY", rel.ThetaEQ, p2, "KEY", parts) }},
-	}
-	for _, op := range ops {
-		ser, err := op.serial()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for k, op := range parStreamOps {
+		ser := mustDrain(op.stream(serialAlg, in))
 		if len(ser.Tuples) == 0 {
 			t.Fatalf("%s: degenerate fixture (empty serial result)", op.name)
 		}
-		for _, parts := range parTestParts {
-			for run := 0; run < 2; run++ {
-				par, err := op.par(parts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantSameOrdered(t, op.name+" (parts/run sweep)", parts*10+run, par, ser)
-			}
-		}
+		checkParStream(t, k, op.name, op.stream, in, ser, []int{2, 3, 7}, []int{1})
 	}
 }
 
-// TestAutoDispatchAboveThreshold: a parallel-configured algebra must
-// produce serial-identical results from the plain entry points both below
-// the threshold (serial path) and above it (partitioned path), for the
-// materializing and streaming engines.
+// TestAutoDispatchAboveThreshold: a parallel-configured algebra (Threshold
+// 64) must produce serial-identical results from the plain entry points
+// both below the threshold (serial build) and above it (partitioned
+// build) — the pool's counters show which ran. Its materializing Join and
+// Difference stay serial at either size.
 func TestAutoDispatchAboveThreshold(t *testing.T) {
-	reg := sourceset.NewRegistry()
-	for i := 0; i < 90; i++ {
-		reg.Intern(workloadDBName(i))
-	}
 	serialAlg := NewAlgebra(nil)
-	parAlg := NewAlgebra(nil)
-	parAlg.SetParallel(&Parallel{Pool: exec.NewPool(4), Threshold: 64, Partitions: 7})
 	for _, n := range []int{20, 3000} { // below and above Threshold=64
-		p1, p2 := parBigInput(reg, n)
-		ser, err := serialAlg.Union(p1, p2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := parAlg.Union(p1, p2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSameOrdered(t, "auto union", n, par, ser)
+		in := bigParCase(n)
+		for _, op := range parStreamOps {
+			ser := mustDrain(op.stream(serialAlg, in))
+			checkParStream(t, n, "auto stream "+op.name, op.stream, in, ser, []int{4}, []int{64})
 
-		ser, err = serialAlg.Join(p1, "KEY", rel.ThetaEQ, p2, "KEY")
-		if err != nil {
-			t.Fatal(err)
+			want, err := op.mat(serialAlg, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := exec.NewPool(4)
+			parAlg := NewAlgebra(nil)
+			parAlg.SetParallel(&Parallel{Pool: pool, Threshold: 64})
+			got, err := op.mat(parAlg, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := pool.Snapshot(); s.Helpers+s.Submits != 0 {
+				t.Fatalf("n=%d: materializing %s used the pool", n, op.name)
+			}
+			wantSameOrdered(t, "auto materializing "+op.name, n, got, want)
 		}
-		par, err = parAlg.Join(p1, "KEY", rel.ThetaEQ, p2, "KEY")
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSameOrdered(t, "auto join", n, par, ser)
-
-		// Streaming: the parallel-configured algebra's StreamJoin builds
-		// partitioned and probes through the ParallelCursor; row order must
-		// still match the serial streaming engine's.
-		serStr := mustDrain(serialAlg.StreamJoin(cursorOver(p1), "KEY", rel.ThetaEQ, cursorOver(p2), "KEY"))
-		parStr := mustDrain(parAlg.StreamJoin(cursorOver(p1), "KEY", rel.ThetaEQ, cursorOver(p2), "KEY"))
-		wantSameOrdered(t, "auto stream join", n, parStr, serStr)
-
-		serStr = mustDrain(serialAlg.StreamDifference(cursorOver(p1), cursorOver(p2)))
-		parStr = mustDrain(parAlg.StreamDifference(cursorOver(p1), cursorOver(p2)))
-		wantSameOrdered(t, "auto stream difference", n, parStr, serStr)
 	}
 }
 

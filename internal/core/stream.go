@@ -396,7 +396,7 @@ func (c *differenceStream) Next() ([]Tuple, error) {
 		}
 		if parts := c.a.parParts(len(p2.Tuples)); parts > 1 {
 			pool := c.a.parPool()
-			ix, _ := buildPartitionedDataIndex(pool, parts, p2.Tuples)
+			ix := buildPartitionedDataIndex(pool, parts, p2.Tuples)
 			c.drop = func(t Tuple, h uint64) bool {
 				_, gone := ix.Find(h, func(at int) bool { return p2.Tuples[at].DataEqual(t) })
 				return gone

@@ -26,12 +26,13 @@
 // queries, so canonical IDs warm up once per federation rather than once
 // per query.
 //
-// Within one query, hash operators over inputs at or above a cost
-// threshold additionally run morsel-driven parallel (core/parallel.go):
-// radix-partitioned builds and probes fan out across a worker pool shared
-// by all of the PQP's concurrent sessions (SetParallel), with results —
-// row order included — identical to the serial engines'. Small inputs
-// never leave the serial path.
+// Within one query, the streaming engine's StreamJoin and StreamDifference
+// build sides at or above a cost threshold run morsel-driven parallel
+// (core/parallel.go): radix-partitioned builds, plus a ParallelCursor
+// probe for the join, on a worker pool shared by all of the PQP's
+// concurrent sessions (SetParallel), with results — row order included —
+// identical to the serial builds'. Small builds never leave the serial
+// path, and the materializing engine is serial throughout.
 //
 // Before execution, Run hands the IOM to the cost-based Query Optimizer
 // (translate.OptimizeWithOptions) with the federation knowledge the PQP
@@ -145,8 +146,8 @@ func New(schema *core.Schema, reg *sourceset.Registry, resolver identity.Resolve
 	}
 	// Morsel-driven intra-operator parallelism is on by default: one
 	// GOMAXPROCS-sized pool per PQP, shared by every concurrent session's
-	// operators, with the cost threshold keeping small inputs — the paper's
-	// worked example among them — on the untouched serial path. On a
+	// join and difference builds, with the cost threshold keeping small
+	// builds — the paper's worked example among them — on the serial path. On a
 	// single-core box the pool has one worker and the engine never leaves
 	// that path.
 	q.SetParallel(0, 0)
@@ -154,11 +155,12 @@ func New(schema *core.Schema, reg *sourceset.Registry, resolver identity.Resolve
 }
 
 // SetParallel configures morsel-driven intra-operator parallelism: the
-// hash operators (Union, Join, Project, Intersect, Difference — and the
-// streaming Join/Difference build sides) of inputs at or above threshold
-// tuples radix-partition their work across a worker pool shared by all of
-// this PQP's concurrent queries. workers bounds the pool (0 = GOMAXPROCS);
-// workers < 0 disables the parallel path entirely. threshold <= 0 means
+// streaming engine's Join and Difference build sides of at least threshold
+// tuples radix-partition across a worker pool shared by all of this PQP's
+// concurrent queries, and the Join probe fans out on the same pool. No
+// other operator, and nothing in ExecuteMaterialized, uses the pool.
+// workers bounds the pool (0 = GOMAXPROCS); workers < 0 disables the
+// parallel path entirely. threshold <= 0 means
 // core.DefaultParallelThreshold. Like the flag fields, this is wiring-time
 // configuration: call it before the PQP is shared across goroutines.
 func (q *PQP) SetParallel(workers, threshold int) {

@@ -5,8 +5,8 @@
 # across commits:
 #
 #   serve  B-KEY / B-STREAM / B-OPT / B-SERVE        -> BENCH_serve.json
-#   par    B-PAR (partitioned hash ops, parallel     -> BENCH_par.json
-#          stream join, mediator latency);
+#   par    B-PAR (serial row ops, parallel stream    -> BENCH_par.json
+#          join, MINUS mediator latency);
 #          also guards the row engine's allocations:
 #          serial Union at n=100000 must stay within
 #          1.10x the allocs/op of the BENCH_par.json
