@@ -67,7 +67,6 @@ func main() {
 	name := flag.String("name", "", "federation name announced to clients (defaults to the workload name)")
 	cacheSize := flag.Int("plan-cache", translate.DefaultPlanCacheSize, "plan cache capacity in plans (0 disables the cache)")
 	noOptimize := flag.Bool("no-optimize", false, "disable the cost-based query optimizer")
-	relaxed := flag.Bool("relaxed-reorder", false, "permit tag-relaxed join reordering (see translate.Options)")
 	collect := flag.Bool("collect-stats", true, "probe LQP statistics at startup to seed the optimizer")
 	parWorkers := flag.Int("parallel-workers", 0, "intra-operator worker pool size shared by all sessions (0 = GOMAXPROCS, -1 disables the parallel path)")
 	parThreshold := flag.Int("parallel-threshold", 0, "minimum build-side tuples before a join or difference build runs partitioned (0 = engine default)")
@@ -182,7 +181,6 @@ func main() {
 	}
 
 	processor.Optimize = !*noOptimize
-	processor.RelaxedJoinReorder = *relaxed
 	processor.SetParallel(*parWorkers, *parThreshold)
 	if *memBudget != "" {
 		budget, err := parseBytes(*memBudget)

@@ -175,8 +175,9 @@ func ResolveAttrIn(relName string, attrs []Attr, name string) (int, error) {
 // JoinLayout returns the output attribute list a join of two inputs with the
 // given attribute lists would produce, and whether its join columns
 // coalesce. It is joinAttrs exposed for plan simulation: the optimizer
-// replays candidate join orders over attribute lists alone and aborts any
-// rewrite whose simulated layout diverges from the original's.
+// replays a join chain with and without its bottom operands swapped over
+// attribute lists alone and aborts the swap when the simulated layouts
+// diverge.
 func JoinLayout(attrs1 []Attr, xi int, name2 string, attrs2 []Attr, yi int) ([]Attr, bool) {
 	coalesce := joinCoalesces(attrs1[xi], attrs2[yi])
 	return joinAttrs(attrs1, xi, name2, attrs2, yi, coalesce), coalesce

@@ -283,36 +283,6 @@ func (a *Algebra) Merge(scheme *Scheme, rels ...*Relation) (*Relation, error) {
 	return cur, nil
 }
 
-// MergeBalanced computes the same Merge as a balanced pairwise tree instead
-// of a left fold: each round total-joins adjacent pairs, halving the operand
-// count. The left fold rescans the whole accumulated relation at every step
-// (Σᵢ O(N·i) work for i sources); the tree does O(N log J). §II's
-// order-independence makes the two equivalent at the instance level —
-// TestMergeBalancedMatchesFold checks it — and the B-SRC ablation bench
-// measures the gap.
-func (a *Algebra) MergeBalanced(scheme *Scheme, rels ...*Relation) (*Relation, error) {
-	if len(rels) == 0 {
-		return nil, fmt.Errorf("core: merge of zero relations for scheme %q", scheme.Name)
-	}
-	work := append([]*Relation(nil), rels...)
-	for len(work) > 1 {
-		next := make([]*Relation, 0, (len(work)+1)/2)
-		for i := 0; i < len(work); i += 2 {
-			if i+1 == len(work) {
-				next = append(next, work[i])
-				continue
-			}
-			m, err := a.OuterNaturalTotalJoin(work[i], work[i+1], scheme)
-			if err != nil {
-				return nil, err
-			}
-			next = append(next, m)
-		}
-		work = next
-	}
-	return a.normalizeToScheme(work[0], scheme)
-}
-
 // normalizeToScheme renames every polygen-annotated column of p to its
 // polygen attribute name.
 func (a *Algebra) normalizeToScheme(p *Relation, scheme *Scheme) (*Relation, error) {

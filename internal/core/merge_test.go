@@ -374,55 +374,3 @@ func TestSchemeLocalAttrsOf(t *testing.T) {
 		t.Errorf("first pair = %v", pairs[0])
 	}
 }
-
-// TestMergeBalancedMatchesFold: the balanced tree computes the same merged
-// relation as the paper's left fold, modulo instance spelling (compared
-// case-folded) and column order (projected onto scheme order).
-func TestMergeBalancedMatchesFold(t *testing.T) {
-	e := newEnv()
-	alg := NewAlgebra(identity.CaseFold{})
-	scheme := orgScheme()
-	b, c, f := e.orgRelations()
-	for _, rels := range [][]*Relation{
-		{b}, {b, c}, {b, c, f}, {f, c, b},
-	} {
-		fold, err := alg.Merge(scheme, rels...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bal, err := alg.MergeBalanced(scheme, rels...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		attrs := []string{}
-		for _, pa := range scheme.Attrs {
-			if _, err := fold.Col(pa.Name); err == nil {
-				attrs = append(attrs, pa.Name)
-			}
-		}
-		pf, err := alg.Project(fold, attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := alg.Project(bal, attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lf, lb := render(pf), render(pb)
-		for i := range lf {
-			lf[i] = strings.ToLower(lf[i])
-		}
-		for i := range lb {
-			lb[i] = strings.ToLower(lb[i])
-		}
-		if d := diffMultiset(lf, lb); d != "" {
-			t.Errorf("balanced merge of %d relations differs:\n%s", len(rels), d)
-		}
-	}
-}
-
-func TestMergeBalancedZeroFails(t *testing.T) {
-	if _, err := NewAlgebra(nil).MergeBalanced(orgScheme()); err == nil {
-		t.Error("balanced merge of zero relations accepted")
-	}
-}

@@ -796,7 +796,7 @@ func TestPropertyStreamMergeMatchesEngines(t *testing.T) {
 		p1 := g.wideRelation(reg, "K/K", "A/A")
 		p2 := g.wideRelation(reg, "K2/K", "B/B")
 		p3 := g.wideRelation(reg, "K3/K", "A2/A")
-		str := mustDrain(alg.StreamMerge(scheme, false, cursorOver(p1), cursorOver(p2), cursorOver(p3)))
+		str := mustDrain(alg.StreamMerge(scheme, cursorOver(p1), cursorOver(p2), cursorOver(p3)))
 		mat, err := alg.Merge(scheme, p1, p2, p3)
 		if err != nil {
 			t.Fatal(err)

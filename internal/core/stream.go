@@ -937,9 +937,8 @@ func (c *productStream) Next() ([]Tuple, error) {
 
 // StreamMerge is the streaming face of Merge: the Outer Natural Total Join
 // fold rescans its accumulator, so the operands are drained (batch-at-a-
-// time) and merged eagerly, and the merged relation is streamed out. With
-// balanced set the fold is the balanced pairwise tree (MergeBalanced).
-func (a *Algebra) StreamMerge(scheme *Scheme, balanced bool, ins ...Cursor) (Cursor, error) {
+// time) and merged eagerly, and the merged relation is streamed out.
+func (a *Algebra) StreamMerge(scheme *Scheme, ins ...Cursor) (Cursor, error) {
 	rels := make([]*Relation, len(ins))
 	for i, c := range ins {
 		p, err := Drain(c)
@@ -949,13 +948,7 @@ func (a *Algebra) StreamMerge(scheme *Scheme, balanced bool, ins ...Cursor) (Cur
 		}
 		rels[i] = p
 	}
-	var m *Relation
-	var err error
-	if balanced {
-		m, err = a.MergeBalanced(scheme, rels...)
-	} else {
-		m, err = a.Merge(scheme, rels...)
-	}
+	m, err := a.Merge(scheme, rels...)
 	if err != nil {
 		return nil, err
 	}

@@ -40,6 +40,9 @@ type Counting struct {
 	plans  []Plan
 	rows   int64
 	cells  int64
+	// charged counts the batch latencies paid, so tests can assert the
+	// latency model without timing the sleeps.
+	charged int64
 }
 
 // NewCounting wraps inner.
@@ -80,23 +83,26 @@ func (c *Counting) recordTransfer(rows, width int) {
 	c.mu.Unlock()
 }
 
+// pay sleeps the injected latency of n batches.
+func (c *Counting) pay(n int) {
+	if c.Latency <= 0 {
+		return
+	}
+	c.mu.Lock()
+	c.charged += int64(n)
+	c.mu.Unlock()
+	time.Sleep(time.Duration(n) * c.Latency)
+}
+
 // chargeResult books the transfer volume of a materialized result and pays
 // its full per-batch latency up front.
 func (c *Counting) chargeResult(r *rel.Relation) {
 	if r == nil {
-		if c.Latency > 0 {
-			time.Sleep(c.Latency)
-		}
+		c.pay(1)
 		return
 	}
 	c.recordTransfer(len(r.Tuples), r.Schema.Len())
-	if c.Latency > 0 {
-		batches := 1
-		if n := (len(r.Tuples) + rel.DefaultBatchSize - 1) / rel.DefaultBatchSize; n > 1 {
-			batches = n
-		}
-		time.Sleep(time.Duration(batches) * c.Latency)
-	}
+	c.pay(max(1, (len(r.Tuples)+rel.DefaultBatchSize-1)/rel.DefaultBatchSize))
 }
 
 // Execute implements LQP, recording the operation and paying the full
@@ -144,9 +150,7 @@ func (c *Counting) OpenPlan(p Plan) (rel.Cursor, error) {
 
 func (c *Counting) meterCursor(cur rel.Cursor, err error) (rel.Cursor, error) {
 	if err != nil {
-		if c.Latency > 0 {
-			time.Sleep(c.Latency)
-		}
+		c.pay(1)
 		return nil, err
 	}
 	return &meteredCursor{in: cur, c: c, width: cur.Schema().Len()}, nil
@@ -169,9 +173,7 @@ func (m *meteredCursor) Next() ([]rel.Tuple, error) {
 		return nil, err // end-of-stream and errors carry no rows to transfer
 	}
 	m.c.recordTransfer(len(batch), m.width)
-	if m.c.Latency > 0 {
-		time.Sleep(m.c.Latency)
-	}
+	m.c.pay(1)
 	return batch, nil
 }
 
@@ -231,6 +233,7 @@ func (c *Counting) Reset() {
 	c.plans = nil
 	c.rows = 0
 	c.cells = 0
+	c.charged = 0
 }
 
 var (

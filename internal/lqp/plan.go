@@ -259,8 +259,8 @@ func filterStep(cur rel.Cursor, op Op) (rel.Cursor, error) {
 }
 
 // RelationStats summarizes one local relation for the federated optimizer:
-// cardinality drives join ordering, the column list drives projection
-// narrowing and plan simulation.
+// cardinality drives the join build-side choice, the column list drives
+// projection narrowing and plan simulation.
 type RelationStats struct {
 	Name    string
 	Rows    int

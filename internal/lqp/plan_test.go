@@ -200,27 +200,32 @@ func TestCountingMetersFilteredTransfer(t *testing.T) {
 
 // TestCountingLatencyPerFilteredBatch: with injected latency, a pushed plan
 // whose result fits one batch pays one latency unit; a wholesale retrieve
-// of the same relation pays one per batch of the full relation.
+// of the same relation pays one per batch of the full relation. The test
+// counts the charges instead of timing the sleeps.
 func TestCountingLatencyPerFilteredBatch(t *testing.T) {
 	c := NewCounting(NewLocal(planDB(t)))
-	c.Latency = 2 * time.Millisecond
+	c.Latency = time.Microsecond
+	charged := func() int64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		n := c.charged
+		c.charged = 0
+		return n
+	}
 
-	start := time.Now()
 	// 200 matching rows -> 1 batch (DefaultBatchSize 256).
 	if _, err := c.ExecutePlan(PlanOf(Retrieve("T"), Select("T", "C", rel.ThetaEQ, rel.String("b")), Project("T", "K"))); err != nil {
 		t.Fatal(err)
 	}
-	filtered := time.Since(start)
-
-	start = time.Now()
+	if n := charged(); n != 1 {
+		t.Errorf("filtered transfer paid %d batch latencies, want 1", n)
+	}
 	// 600 rows -> 3 batches.
 	if _, err := c.Execute(Retrieve("T")); err != nil {
 		t.Fatal(err)
 	}
-	wholesale := time.Since(start)
-
-	if filtered >= wholesale {
-		t.Errorf("filtered transfer (%v) should cost less injected latency than wholesale (%v)", filtered, wholesale)
+	if n := charged(); n != 3 {
+		t.Errorf("wholesale transfer paid %d batch latencies, want 3", n)
 	}
 }
 

@@ -218,7 +218,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		t.Error("query hit a plan cached under stale statistics")
 	}
 	// Optimizer flags key separately too.
-	q.RelaxedJoinReorder = true
+	q.Optimize = false
 	res, err = q.QueryAlgebra(query)
 	if err != nil {
 		t.Fatal(err)

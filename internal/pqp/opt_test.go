@@ -57,10 +57,12 @@ var paperQueries = []string{
 }
 
 // starQueries is the star-schema battery under an exact resolver with
-// statistics: join chains that reorder, chains that fuse, and mixes.
+// statistics: join chains whose bottom join swaps (2 and 3 leaves), chains
+// that fuse, and mixes.
 var starQueries = []string{
 	`((PFACT [CAT = "cat3"]) [VAL >= 5000]) [VAL]`,
 	`((PDIM [DK = DK] PFACT) [VAL, DCAT])`,
+	`(((PDIM [DK = DK] PFACT) [MK = MK] PMID) [VAL, DCAT, GRADE])`,
 	`(((PFACT [DK = DK] PDIM) [MK = MK] PMID) [VAL, DCAT, GRADE])`,
 	`(((PFACT [CAT = "cat1"]) [DK = DK] PDIM) [VAL, DCAT])`,
 }
@@ -151,45 +153,36 @@ func TestOptimizedPlansOverWire(t *testing.T) {
 	}
 }
 
-// TestRelaxedReorderPreservesDataAndOrigins: with RelaxedJoinReorder the
-// optimizer may pick join orders whose intermediate tags record the new
-// evaluation order; data and origin tags must still match the reference
-// exactly.
-func TestRelaxedReorderPreservesDataAndOrigins(t *testing.T) {
+// TestBuildSideSwapInJoinChain: in a 3-leaf star chain written with the
+// small dimension as the bottom join's left operand, the optimizer swaps
+// that join's operands so the hash join builds over DIM, leaves the upper
+// join as written, and the answer, intermediate tags included, matches the
+// unoptimized reference on both engines.
+func TestBuildSideSwapInJoinChain(t *testing.T) {
 	star := workload.NewStar(workload.DefaultStarConfig())
 	q := New(star.Schema, star.Registry, nil, star.LQPs())
 	if err := q.CollectStats(); err != nil {
 		t.Fatal(err)
 	}
-	q.RelaxedJoinReorder = true
-	query := `(((PFACT [DK = DK] PDIM) [MK = MK] PMID) [VAL, DCAT, GRADE])`
-	opt, err := q.QueryAlgebra(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Optimize = false
-	ref, err := q.QueryAlgebra(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := renderDataOrigins(opt.Relation), renderDataOrigins(ref.Relation)
-	sort.Strings(a)
-	sort.Strings(b)
-	diffRows(t, query+" [relaxed reorder, data+origins]", a, b)
-}
-
-// renderDataOrigins renders data and origin tags only (the relaxed mode's
-// contract excludes intermediate tags).
-func renderDataOrigins(p *core.Relation) []string {
-	out := make([]string, 0, len(p.Tuples))
-	for _, t := range p.Tuples {
-		parts := make([]string, len(t))
-		for i, c := range t {
-			parts[i] = c.D.String() + ", " + c.O.Format(p.Reg)
+	plan := runAllEngines(t, q, `(((PDIM [DK = DK] PFACT) [MK = MK] PMID) [VAL, DCAT, GRADE])`)
+	at := make(map[int]string, len(plan.Rows)) // register -> execution location
+	var joins []translate.Row
+	for _, row := range plan.Rows {
+		at[row.PR] = row.EL
+		if row.Op == translate.OpJoin {
+			joins = append(joins, row)
 		}
-		out = append(out, strings.Join(parts, " | "))
 	}
-	return out
+	if len(joins) != 2 {
+		t.Fatalf("want 2 joins, plan:\n%s", plan)
+	}
+	bottom, top := joins[0], joins[1]
+	if got := [2]string{at[bottom.LHR.Reg], at[bottom.RHR.Reg]}; got != [2]string{"FD", "DD"} {
+		t.Errorf("bottom join operands at %v, want [FD DD] (build over DIM); plan:\n%s", got, plan)
+	}
+	if top.LHR.Reg != bottom.PR || at[top.RHR.Reg] != "MD" {
+		t.Errorf("upper join rewritten; plan:\n%s", plan)
+	}
 }
 
 // TestPushdownReducesTransfer: the whole point — a fused subplan ships only

@@ -82,23 +82,14 @@ type PQP struct {
 	// runs the cost-based federated passes of translate.OptimizeWithOptions:
 	// pushdown of PQP-resident selections/projections into LQPs that accept
 	// subplans, projection narrowing, and — when Stats is set and the
-	// instance resolver is exact — greedy join reordering.
+	// instance resolver is exact — the join build-side swap.
 	Optimize bool
 	// Stats, when non-nil, feeds the optimizer per-LQP cardinality and
-	// column statistics (projection-narrowing width checks, join ordering)
-	// and accumulates observed cardinalities and operation latencies as
-	// queries run. CollectStats populates it from the LQPs' statistics
-	// capability.
+	// column statistics (projection-narrowing width checks, the join
+	// build-side swap) and accumulates observed cardinalities and operation
+	// latencies as queries run. CollectStats populates it from the LQPs'
+	// statistics capability.
 	Stats *stats.Catalog
-	// RelaxedJoinReorder lets the optimizer pick join orders whose
-	// intermediate tags differ from the unoptimized plan's (the polygen tag
-	// calculus records evaluation order; see translate.Options). Data and
-	// origin tags are unaffected. Off by default.
-	RelaxedJoinReorder bool
-	// BalancedMerge evaluates Merge rows with the balanced pairwise tree
-	// (core.MergeBalanced) instead of the paper's left fold; the answers are
-	// instance-identical and wide merges get cheaper (B-SRC ablation).
-	BalancedMerge bool
 	// Degrade is the default degradation policy for queries run without an
 	// explicit one (RunPolicy/OpenPolicy override per call). PolicyFail —
 	// the zero value — fails the whole query when a source exhausts all of
@@ -112,7 +103,7 @@ type PQP struct {
 	// Plans caches translated, optimized plans keyed by canonical query
 	// text, schema, statistics version and optimizer options, so a shared
 	// long-lived PQP runs the translation pipeline — including the
-	// optimizer's join-order search — once per distinct query instead of
+	// optimizer's chain simulation — once per distinct query instead of
 	// once per request. New installs a DefaultPlanCacheSize cache; set nil
 	// to translate every request from scratch (the B-SERVE ablation does).
 	Plans *translate.PlanCache
@@ -120,11 +111,11 @@ type PQP struct {
 	Trace func(format string, args ...any)
 }
 
-// The flag fields above (Optimize, Stats, RelaxedJoinReorder, BalancedMerge,
-// Plans, Trace) are configuration: set them while wiring the federation,
-// before the PQP is shared. After that one PQP instance serves any number of
-// goroutines concurrently — QuerySQL, QueryAlgebra, Run and Open are safe
-// for concurrent use. Everything mutable underneath is either query-private
+// The flag fields above (Optimize, Stats, Degrade, Plans, Trace) are
+// configuration: set them while wiring the federation, before the PQP is
+// shared. After that one PQP instance serves any number of goroutines
+// concurrently — QuerySQL, QueryAlgebra, Run and Open are safe for
+// concurrent use. Everything mutable underneath is either query-private
 // (relations, cursor trees, register maps) or independently synchronized:
 // the sourceset.Registry and stats.Catalog lock internally, the resolver's
 // canonical-ID interner publishes through an atomic snapshot, and the plan
@@ -248,8 +239,7 @@ func (q *PQP) optimizerOptions() translate.Options {
 			l, ok := q.lqps[db]
 			return ok && lqp.CanPush(l)
 		},
-		ExactResolver:      q.alg.ResolverIsExact(),
-		RelaxedJoinReorder: q.RelaxedJoinReorder,
+		ExactResolver: q.alg.ResolverIsExact(),
 	}
 }
 
@@ -449,8 +439,7 @@ func (q *PQP) planKey(e translate.Expr) translate.PlanKey {
 		// flags are fingerprinted separately below.
 		Planner: fmt.Sprintf("pqp-%d", q.id),
 		Stats:   statsFP,
-		Options: fmt.Sprintf("opt=%t relaxed=%t exact=%t",
-			q.Optimize, q.RelaxedJoinReorder, q.alg.ResolverIsExact()),
+		Options: fmt.Sprintf("opt=%t exact=%t", q.Optimize, q.alg.ResolverIsExact()),
 	}
 }
 
@@ -601,9 +590,6 @@ func (q *PQP) step(row translate.Row, regs map[int]*core.Relation, env execEnv) 
 				return nil, fmt.Errorf("register R(%d) not computed", rn)
 			}
 			rels = append(rels, r)
-		}
-		if q.BalancedMerge {
-			return q.alg.MergeBalanced(scheme, rels...)
 		}
 		return q.alg.Merge(scheme, rels...)
 	case translate.OpUnion:

@@ -9,7 +9,7 @@
 // scope"; this package supplies the minimum a federation needs for the
 // decisions that dominate wide-area cost. The optimizer's rewrites are
 // gated on the cardinalities and column lists (projection-narrowing width
-// checks, the key-aware join-order cost model); the latency averages are
+// checks, the key-aware cost model of the join build-side swap); the latency averages are
 // the catalog's observability arm — TransferCost turns them into the
 // estimated wide-area cost of a planned transfer, which the B-OPT harness
 // and operators read, mirroring the batch-charging model of lqp.Counting.

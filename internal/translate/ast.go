@@ -19,8 +19,9 @@
 //     filtered, narrowed rows cross the wide-area boundary;
 //   - projection narrowing: retrievals shrink to the columns the plan
 //     demands, never dropping condition (tag-bearing) columns;
-//   - greedy join reordering: left-deep equi-join chains re-plan under a
-//     key-aware cost model, verified by simulating both layouts.
+//   - the join build-side swap: the bottom join of a left-deep equi-join
+//     chain swaps its operands when a key-aware cost model favours it,
+//     verified by simulating both layouts.
 //
 // Every rewrite is identity-preserving at the cell level — data, origin
 // tags and intermediate tags. Rewrites the polygen tag calculus does not

@@ -8,7 +8,7 @@ import (
 
 // This file implements the plan cache of the mediator service layer: the
 // translation pipeline — Analyze, the two interpreter passes, and above all
-// the cost-based Query Optimizer with its join-order search (reorder.go) —
+// the cost-based Query Optimizer with its chain simulation (reorder.go) —
 // is pure function of (query, schema, statistics, optimizer options), so a
 // long-lived PQP serving many clients runs it once per distinct query and
 // replays the result for every later request. Matrices handed out by the
@@ -38,8 +38,8 @@ type PlanKey struct {
 	// catalog whose version counter restarts and can land on the old
 	// value, and plans cached under the stale cardinalities must not hit.
 	Stats string
-	// Options fingerprints the optimizer options (enabled passes, relaxed
-	// join reorder, resolver exactness).
+	// Options fingerprints the optimizer options (enabled passes, resolver
+	// exactness).
 	Options string
 }
 

@@ -32,9 +32,10 @@ import (
 //     only a subset of its columns retrieves just that subset (plus every
 //     column whose origin tags later operations consult — condition columns
 //     are never projected away);
-//   - greedy join reordering (reorder.go): with relation statistics
-//     available and an exact instance resolver, left-deep equi-join chains
-//     re-join smallest-first;
+//   - the join build-side swap (reorder.go): with relation statistics
+//     available and an exact instance resolver, the bottom join of a
+//     left-deep equi-join chain swaps its operands so the hash join builds
+//     over the smaller leaf — the one reorder that keeps every tag;
 //   - dead-row elimination: rows whose results no later row (and not the
 //     final row) consumes are dropped, and registers renumber densely.
 //
@@ -74,8 +75,8 @@ type Options struct {
 	// supplies the attribute mappings and the domain-map table).
 	Schema *core.Schema
 	// Stats, when non-nil, supplies per-LQP relation cardinalities, column
-	// lists and link latencies. Join reordering and the width check of
-	// projection narrowing require it.
+	// lists and link latencies. The join build-side swap and the width
+	// check of projection narrowing require it.
 	Stats *stats.Catalog
 	// CanPush reports whether the named local database's LQP accepts
 	// pushed-down subplans (lqp.PlanRunner). A nil CanPush means no LQP
@@ -83,18 +84,10 @@ type Options struct {
 	// Retrieves (a single local Project every LQP supports).
 	CanPush func(db string) bool
 	// ExactResolver reports that the executing algebra's instance resolver
-	// is exact. Join reordering is gated on it (a reorder may change which
-	// operand of a coalesce keeps its datum, indistinguishable only when
-	// equal instances are identical values).
+	// is exact. The join build-side swap is gated on it (a swap changes
+	// which operand of a coalesce keeps its datum, indistinguishable only
+	// when equal instances are identical values).
 	ExactResolver bool
-	// RelaxedJoinReorder permits join orders whose intermediate tags differ
-	// from the original plan's. The polygen tag calculus is operational —
-	// t(i) records which sources each evaluation step consulted — so a
-	// reordered chain produces a different but internally consistent audit
-	// trail; data and origin tags are still proven identical. Off by
-	// default: the strict mode only accepts orders whose tag algebra
-	// coincides with the original (see reorder.go).
-	RelaxedJoinReorder bool
 }
 
 // Optimize is the statistics-free Query Optimizer: common-subexpression

@@ -197,8 +197,39 @@ func mustSchemaOf() *core.Schema {
 		&core.Scheme{Name: "PBIG", Key: "K", Attrs: []core.PolygenAttr{
 			{Name: "K", Mapping: []core.LocalAttr{la("YD", "BIG", "K")}},
 			{Name: "W", Mapping: []core.LocalAttr{la("YD", "BIG", "W")}},
+			{Name: "J", Mapping: []core.LocalAttr{la("YD", "BIG", "J")}},
+		}},
+		&core.Scheme{Name: "PTHIRD", Key: "J", Attrs: []core.PolygenAttr{
+			{Name: "J", Mapping: []core.LocalAttr{la("ZD", "THIRD", "J"), la("WD", "THIRD2", "J")}},
+			{Name: "U", Mapping: []core.LocalAttr{la("ZD", "THIRD", "U"), la("WD", "THIRD2", "U")}},
 		}},
 	)
+}
+
+// reorderChainSchema extends reorderSchema to a 3-leaf chain: SMALL joins
+// BIG (1000 rows, now with a column J) on K, and the result joins PTHIRD on
+// J. With mergeLeaf false the third leaf is THIRD (10 rows at ZD); with
+// mergeLeaf true it is the Merge of THIRD and THIRD2 (WD).
+func reorderChainSchema(mergeLeaf bool) (*Matrix, Options) {
+	iom, opts := reorderSchema()
+	opts.Stats.SetRelation("YD", lqp.RelationStats{Name: "BIG", Rows: 1000, Columns: []string{"K", "W", "J"}})
+	opts.Stats.SetRelation("ZD", lqp.RelationStats{Name: "THIRD", Rows: 10, Columns: []string{"J", "U"}})
+	opts.Stats.SetRelation("WD", lqp.RelationStats{Name: "THIRD2", Rows: 10, Columns: []string{"J", "U"}})
+	third := 3
+	rows := []Row{iom.Rows[0], iom.Rows[1],
+		{PR: 3, Op: OpRetrieve, LHR: LocalOperand("THIRD"), RHA: NoComparand(), RHR: NoOperand(), EL: "ZD"}}
+	if mergeLeaf {
+		third = 5
+		rows = append(rows,
+			Row{PR: 4, Op: OpRetrieve, LHR: LocalOperand("THIRD2"), RHA: NoComparand(), RHR: NoOperand(), EL: "WD"},
+			Row{PR: 5, Op: OpMerge, LHR: RegsOperand(3, 4), RHA: NoComparand(), RHR: NoOperand(), EL: "PQP", Scheme: "PTHIRD"})
+	}
+	join := iom.Rows[2]
+	join.PR = third + 1
+	iom.Rows = append(rows, join,
+		Row{PR: third + 2, Op: OpJoin, LHR: RegOperand(third + 1), LHA: []string{"J"}, Theta: rel.ThetaEQ, HasTheta: true, RHA: AttrComparand("J"), RHR: RegOperand(third), EL: "PQP"},
+		Row{PR: third + 3, Op: OpProject, LHR: RegOperand(third + 2), LHA: []string{"V", "W", "U"}, RHA: NoComparand(), RHR: NoOperand(), EL: "PQP"})
+	return iom, opts
 }
 
 // TestOptimizeReorderSwapsBuildSide: with statistics available and an exact
@@ -214,6 +245,32 @@ func TestOptimizeReorderSwapsBuildSide(t *testing.T) {
 		"R(3) | Join | R(2) | K | = | K | R(1) | PQP",
 		"R(4) | Project | R(3) | V, W | nil | nil | nil | PQP",
 	)
+}
+
+// TestOptimizeReorderSwapsChainBottom: in a 3-leaf chain only the bottom
+// join swaps its operands, in place; the upper join stays as written.
+func TestOptimizeReorderSwapsChainBottom(t *testing.T) {
+	iom, opts := reorderChainSchema(false)
+	opt := optimizeWith(t, iom, opts)
+	wantMatrix(t, opt,
+		"R(1) | Retrieve | SMALL | nil | nil | nil | nil | XD",
+		"R(2) | Retrieve | BIG | nil | nil | nil | nil | YD",
+		"R(3) | Retrieve | THIRD | nil | nil | nil | nil | ZD",
+		"R(4) | Join | R(2) | K | = | K | R(1) | PQP",
+		"R(5) | Join | R(4) | J | = | J | R(3) | PQP",
+		"R(6) | Project | R(5) | V, W, U | nil | nil | nil | PQP",
+	)
+}
+
+// TestOptimizeReorderSkipsMergeLeaf: the same chain with a Merge as its
+// third leaf stays as written. The swap is admitted only when every chain
+// leaf is LQP-resident, even though the Merge is not a bottom operand.
+func TestOptimizeReorderSkipsMergeLeaf(t *testing.T) {
+	iom, opts := reorderChainSchema(true)
+	want := matrixLines(iom)
+	if got := matrixLines(optimizeWith(t, iom, opts)); got != want {
+		t.Errorf("chain with a Merge leaf rewritten:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 // TestOptimizeReorderNeedsStatsAndExactness: the same plan is untouched
